@@ -296,23 +296,28 @@ class ExperimentContext:
             vector=VectorPolicy(batch_width=self.batch_width),
         )
 
-    def _save_result(self, campaign: str, result) -> None:
-        """Mirror a finished campaign's result into the results
-        database (``results_db``) under ``<run_name>/<campaign>``."""
-        if self.results_db is None:
-            return
-        with SqliteResultStore(self.results_db) as store:
-            store.save_result(
-                result,
-                run=f"{self.run_name}/{campaign}",
-                meta={
-                    "target": self.target.name,
-                    "scale": self.scale.name,
-                    "seed": self.seed,
-                    "adaptive": self.adaptive,
-                    "campaign": campaign,
-                },
-            )
+    def _run_campaign(self, name: str, campaign):
+        """Run *campaign* and record it under *name*: its telemetry,
+        its stratum reports (adaptive campaigns only) and, with
+        ``results_db`` set, its result under ``<run_name>/<name>``."""
+        result = campaign.run()
+        if self.results_db is not None:
+            with SqliteResultStore(self.results_db) as store:
+                store.save_result(
+                    result,
+                    run=f"{self.run_name}/{name}",
+                    meta={
+                        "target": self.target.name,
+                        "scale": self.scale.name,
+                        "seed": self.seed,
+                        "adaptive": self.adaptive,
+                        "campaign": name,
+                    },
+                )
+        self.telemetries[name] = campaign.telemetry
+        if campaign.stratum_reports:
+            self.stratum_reports[name] = campaign.stratum_reports
+        return result
 
     @property
     def system(self):
@@ -334,19 +339,15 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     def permeability_estimate(self) -> PermeabilityEstimate:
         if self._estimate is None:
-            campaign = PermeabilityCampaign(
-                self.simulator_factory,
-                self.test_cases,
-                runs_per_input=self.scale.runs_per_input,
-                config=self.campaign_config("permeability"),
+            self._estimate = self._run_campaign(
+                "permeability",
+                PermeabilityCampaign(
+                    self.simulator_factory,
+                    self.test_cases,
+                    runs_per_input=self.scale.runs_per_input,
+                    config=self.campaign_config("permeability"),
+                ),
             )
-            self._estimate = campaign.run()
-            self._save_result("permeability", self._estimate)
-            self.telemetries["permeability"] = campaign.telemetry
-            if campaign.stratum_reports:
-                self.stratum_reports["permeability"] = (
-                    campaign.stratum_reports
-                )
         return self._estimate
 
     def measured_matrix(self) -> PermeabilityMatrix:
@@ -358,20 +359,16 @@ class ExperimentContext:
 
     def detection_result(self) -> DetectionResult:
         if self._detection is None:
-            campaign = DetectionCampaign(
-                self.simulator_factory,
-                self.test_cases,
-                self.assertion_specs(),
-                runs_per_signal=self.scale.runs_per_signal,
-                config=self.campaign_config("detection"),
+            self._detection = self._run_campaign(
+                "detection",
+                DetectionCampaign(
+                    self.simulator_factory,
+                    self.test_cases,
+                    self.assertion_specs(),
+                    runs_per_signal=self.scale.runs_per_signal,
+                    config=self.campaign_config("detection"),
+                ),
             )
-            self._detection = campaign.run()
-            self._save_result("detection", self._detection)
-            self.telemetries["detection"] = campaign.telemetry
-            if campaign.stratum_reports:
-                self.stratum_reports["detection"] = (
-                    campaign.stratum_reports
-                )
         return self._detection
 
     def memory_result(self) -> MemoryCampaignResult:
@@ -379,14 +376,14 @@ class ExperimentContext:
             locations = MemoryMap(self.system).locations()[
                 :: self.scale.location_stride
             ]
-            campaign = MemoryCampaign(
-                self.simulator_factory,
-                self.test_cases[:: self.scale.memory_case_stride],
-                self.assertion_specs(),
-                locations=locations,
-                config=self.campaign_config("memory"),
+            self._memory = self._run_campaign(
+                "memory",
+                MemoryCampaign(
+                    self.simulator_factory,
+                    self.test_cases[:: self.scale.memory_case_stride],
+                    self.assertion_specs(),
+                    locations=locations,
+                    config=self.campaign_config("memory"),
+                ),
             )
-            self._memory = campaign.run()
-            self._save_result("memory", self._memory)
-            self.telemetries["memory"] = campaign.telemetry
         return self._memory

@@ -18,16 +18,24 @@ Four campaign drivers:
 
 Execution model
 ---------------
-Every campaign separates into three phases: a serial *pre-draw* phase
-that draws all random parameters from the campaign RNG in the exact
-order the original single-loop drivers drew them, an *execution* phase
-that maps a pure per-run function over the pre-drawn parameter list
-through a :class:`~repro.fi.executor.CampaignExecutor` (serially or on
-a process pool), and a serial *aggregation* phase that folds results
-in task order.  Campaigns are therefore deterministic given their
-seed, **bit-identical between serial and parallel execution**, and
-every run is a fresh simulator instance (no state leaks between
-runs).  Golden runs are shared through the process-wide
+Every driver's ``run()`` is three steps: *plan*, *execute*,
+*aggregate*.  The driver's ``_plan(system)`` pre-draws every random
+parameter from the campaign RNG in the exact order the original
+single-loop drivers drew them and returns a ``_CampaignPlan``: the
+task list, the pure per-run function, the checkpoint fingerprint
+parts, the fast-forward handle and, for the sampled campaigns, the
+adaptive strata.  One module-private ``_execute`` runs every plan the
+same way: it preloads the plan's checkpoint tracks, wraps each run in
+the audit replay and (with ``batch_width`` > 0) the vectorized core,
+dispatches the tasks through a
+:class:`~repro.fi.executor.CampaignExecutor` (serially or on a
+process pool), copies telemetry, integrity violations and stratum
+reports onto the driver, and closes the executor and the runner on
+every exit path.  The driver then folds the results in task order.
+Campaigns are therefore deterministic given their seed,
+**bit-identical between serial and parallel execution**, and every
+run is a fresh simulator instance (no state leaks between runs).
+Golden runs are shared through the process-wide
 :data:`~repro.fi.executor.golden_cache`.
 
 The sampled campaigns (permeability and detection) additionally
@@ -52,6 +60,7 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -117,7 +126,7 @@ __all__ = [
 
 
 # ======================================================================
-# Shared constructor plumbing.
+# The shared campaign pipeline.
 # ======================================================================
 def _resolve_factory(factory) -> SimulatorFactory:
     """Accept a simulator factory or anything carrying one.
@@ -154,14 +163,6 @@ def _resolve_test_cases(
     return list(test_cases)
 
 
-def _resolve_seed(
-    seed: Optional[int], config: Optional[CampaignConfig]
-) -> int:
-    if seed is not None:
-        return seed
-    return config.seed if config is not None else 2002
-
-
 def _target_label(factory) -> str:
     name = getattr(factory, "name", None)
     if isinstance(name, str):
@@ -169,21 +170,156 @@ def _target_label(factory) -> str:
     return getattr(factory, "__qualname__", type(factory).__name__)
 
 
-def _preload_tracks(
-    ff: FastForward, tasks: Sequence[Tuple], case_of, tick_of
-) -> None:
-    """Record the checkpoint tracks a task list will need, up front.
+class _Campaign:
+    """Constructor plumbing and run-time attributes of every driver."""
 
-    Runs in the campaign's serial pre-draw phase — before the process
-    pool forks — so workers inherit the tracks through copy-on-write
+    def __init__(
+        self,
+        factory,
+        test_cases: Optional[Sequence[TestCase]],
+        seed: Optional[int],
+        config: Optional[CampaignConfig],
+    ):
+        self.factory = _resolve_factory(factory)
+        self.test_cases = _resolve_test_cases(factory, test_cases, config)
+        if seed is None:
+            seed = config.seed if config is not None else 2002
+        self.seed = seed
+        self.rng = random.Random(self.seed)
+        self.config = config
+        self._target = _target_label(factory)
+        self.goldens = golden_cache.store_for(self._target, self.factory)
+        self.telemetry: Optional[CampaignTelemetry] = None
+        self.integrity_violations: List[IntegrityViolation] = []
+        #: per-stratum spend reports (adaptive campaigns only).
+        self.stratum_reports: List[StratumReport] = []
+
+
+def _runs_budget(config: Optional[CampaignConfig], runs: int) -> int:
+    """Per-stratum budget: ``max_runs`` caps adaptive campaigns."""
+    if config is not None and config.adaptive and config.max_runs is not None:
+        return config.max_runs
+    return runs
+
+
+def _strata(labels: Sequence[str], runs: int) -> List[AdaptiveStratum]:
+    """One stratum of *runs* consecutive tasks per label, in order."""
+    return [
+        AdaptiveStratum(
+            label=label, indices=tuple(range(i * runs, (i + 1) * runs))
+        )
+        for i, label in enumerate(labels)
+    ]
+
+
+@dataclass
+class _CampaignPlan:
+    """One campaign's pre-drawn work, as :func:`_execute` runs it.
+
+    ``one_run(task, ff)`` is the pure per-run function.  A plan
+    without a fast-forward handle (``ff`` is ``None``) records no
+    checkpoint tracks and is never audited; its ``one_run`` gets
+    ``None``.  ``case_of``/``tick_of`` tell the track preload which
+    test case a task runs and at which tick its injection starts.
+    ``wrap`` holds the kind-specific :func:`wrap_runner` arguments.
+    ``strata``/``counts_of`` allow adaptive dispatch.  ``layout`` is
+    what the driver's aggregation needs besides the results.
+    """
+
+    tasks: List[Tuple]
+    one_run: Callable[[Tuple, Optional[FastForward]], Any]
+    fingerprint: List[Any]
+    ff: Optional[FastForward] = None
+    case_of: Optional[Callable[[Tuple], TestCase]] = None
+    tick_of: Optional[Callable[[Tuple], int]] = None
+    wrap: Dict[str, Any] = field(default_factory=dict)
+    strata: Optional[List[AdaptiveStratum]] = None
+    counts_of: Optional[Callable] = None
+    layout: Any = None
+
+
+def _preload_tracks(plan: _CampaignPlan) -> None:
+    """Record the checkpoint tracks a plan's tasks will need, up front.
+
+    Runs in the campaign's serial phase — before the process pool
+    forks — so workers inherit the tracks through copy-on-write
     instead of each recording their own.
     """
     needed: Dict[int, Any] = {}
-    for task in tasks:
-        if ff.wants_track(tick_of(task)):
-            test_case = case_of(task)
+    for task in plan.tasks:
+        if plan.ff.wants_track(plan.tick_of(task)):
+            test_case = plan.case_of(task)
             needed.setdefault(test_case.case_id, test_case)
-    ff.preload(list(needed.values()))
+    plan.ff.preload(list(needed.values()))
+
+
+def _execute(
+    campaign: _Campaign,
+    kind: str,
+    build: Callable[[Any], _CampaignPlan],
+) -> Tuple[_CampaignPlan, List[Any]]:
+    """The pipeline every driver's ``run()`` goes through.
+
+    ``build(system)`` pre-draws the plan.  It runs after the executor
+    is constructed, so the executor's telemetry window covers the
+    golden runs the pre-draw computes.  Then the plan's checkpoint
+    tracks are preloaded, each run is audit-wrapped and (with
+    ``batch_width`` > 0) batched, and the tasks are dispatched —
+    through an :class:`AdaptiveSampler` when the config asks for it
+    and the plan has strata.  Telemetry, integrity violations and
+    stratum reports land on *campaign*.  The executor and the wrapped
+    runner are closed on every exit path.  Returns the plan and its
+    results in task order.
+    """
+    config = campaign.config
+    executor = CampaignExecutor(config, campaign=kind)
+    runner = None
+    try:
+        plan = build(campaign.factory(campaign.test_cases[0]).system)
+        tasks = plan.tasks
+        if plan.ff is not None:
+            _preload_tracks(plan)
+        # a sampled audit replay re-checks fast-forwarded runs; without
+        # a fast-forward handle the auditor runs each task once, as is
+        auditor = RunAuditor(plan.ff, config, campaign=kind)
+
+        def runner(index: int) -> Any:
+            task = tasks[index]
+            return auditor.run(index, lambda ff: plan.one_run(task, ff))
+
+        # batch_width > 0: answer contiguous task spans from the
+        # vectorized core (bit-identical; see repro.fi.vector)
+        runner = wrap_runner(
+            kind, runner, tasks, config, campaign.factory,
+            auditor=auditor, **plan.wrap,
+        )
+        fingerprint = fingerprint_of(*plan.fingerprint)
+        # the drift sentinel guards every pool worker, audited or not
+        sentinel = golden_sentinel(campaign.factory, campaign.test_cases[0])
+        if plan.strata is not None and config is not None and config.adaptive:
+            dispatcher = AdaptiveSampler(
+                executor,
+                plan.strata,
+                plan.counts_of,
+                rule=stopping_rule_from(config),
+                min_batch=config.min_batch,
+            )
+            results = dispatcher.run(
+                runner, len(tasks), fingerprint, sentinel=sentinel
+            )
+            campaign.stratum_reports = list(dispatcher.reports)
+        else:
+            dispatcher = executor
+            results = executor.run_tasks(
+                runner, len(tasks), fingerprint, sentinel=sentinel
+            )
+            campaign.stratum_reports = []
+        campaign.telemetry = dispatcher.telemetry
+        campaign.integrity_violations = list(dispatcher.violations)
+    finally:
+        executor.close()
+        close_runner(runner)
+    return plan, results
 
 
 def _collect_failures(results: Sequence[Any]) -> List[TaskFailure]:
@@ -225,7 +361,7 @@ class PermeabilityEstimate:
             ) from None
 
 
-class PermeabilityCampaign:
+class PermeabilityCampaign(_Campaign):
     """Estimate error permeabilities by module-input fault injection.
 
     For each module input port, ``runs_per_input`` injection runs are
@@ -254,187 +390,40 @@ class PermeabilityCampaign:
         *modules* restricts injection to the named modules (the
         compositional-reuse path of ``repro.place.cache``: only
         modules whose fingerprint changed are re-injected).  ``None``
-        injects every module.  The restriction is part of the campaign
-        fingerprint, so restricted and full campaigns never share
-        checkpoints."""
+        injects every module.  A restricted campaign still draws every
+        module's parameters, so each kept module's runs are exactly
+        those of the full campaign.  The restriction is part of the
+        campaign fingerprint, so restricted and full campaigns never
+        share checkpoints."""
         if runs_per_input <= 0:
             raise CampaignError(
                 f"runs_per_input must be positive, got {runs_per_input}"
             )
-        self.factory = _resolve_factory(factory)
-        self.test_cases = _resolve_test_cases(factory, test_cases, config)
+        super().__init__(factory, test_cases, seed, config)
         self.runs_per_input = runs_per_input
-        self.seed = _resolve_seed(seed, config)
-        self.rng = random.Random(self.seed)
         self.direct_only = direct_only
         self.modules = tuple(modules) if modules is not None else None
-        self.config = config
-        self.goldens = golden_cache.store_for(
-            _target_label(factory), self.factory
-        )
-        self._ff = FastForward(
-            self.factory, _target_label(factory), config=config,
-        )
-        self.telemetry: Optional[CampaignTelemetry] = None
-        self.integrity_violations: List[IntegrityViolation] = []
-        #: per-stratum spend reports (adaptive campaigns only).
-        self.stratum_reports: List[StratumReport] = []
-
-    def _runs_budget(self) -> int:
-        """Per-input budget: ``max_runs`` caps adaptive campaigns."""
-        if (
-            self.config is not None
-            and self.config.adaptive
-            and self.config.max_runs is not None
-        ):
-            return self.config.max_runs
-        return self.runs_per_input
+        self._ff = FastForward(self.factory, self._target, config=config)
 
     def run(self) -> PermeabilityEstimate:
-        executor = CampaignExecutor(self.config, campaign="permeability")
-        probe = self.factory(self.test_cases[0])
-        system = probe.system
-        adaptive = self.config is not None and self.config.adaptive
-        runs_budget = self._runs_budget()
-
-        # Phase 1: pre-draw every random parameter in the legacy
-        # serial loop order (module -> in_port -> run_index).  The
-        # adaptive path pre-draws the identical full-budget list — a
-        # stopped stratum simply never dispatches its tail.
-        if self.modules is not None:
-            known = {module.name for module in system.modules()}
-            unknown = [m for m in self.modules if m not in known]
-            if unknown:
-                raise CampaignError(
-                    f"unknown modules {unknown}; "
-                    f"system has {sorted(known)}"
-                )
-        pair_keys: List[Tuple[str, str]] = []
-        out_ports: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        tasks: List[Tuple[str, str, TestCase, int, int]] = []
-        task_pair: List[Tuple[str, str]] = []
-        for module in system.modules():
-            if self.modules is not None and module.name not in self.modules:
-                continue
-            for in_port in module.inputs:
-                key_in = (module.name, in_port)
-                pair_keys.append(key_in)
-                out_ports[key_in] = tuple(module.outputs)
-                signal = system.signal_of_input(module.name, in_port)
-                width = system.signal(signal).width
-                for run_index in range(runs_budget):
-                    test_case = self.test_cases[
-                        run_index % len(self.test_cases)
-                    ]
-                    golden = self.goldens.get(test_case)
-                    from_tick = self.rng.randrange(0, golden.completion_tick)
-                    bit = self.rng.randrange(0, width)
-                    tasks.append(
-                        (module.name, in_port, test_case, from_tick, bit)
-                    )
-                    task_pair.append(key_in)
-        _preload_tracks(
-            self._ff, tasks, case_of=lambda t: t[2], tick_of=lambda t: t[3]
-        )
-
-        # Phase 2: execute the pure per-run function over the tasks;
-        # a sampled audit replay re-checks fast-forwarded runs.
-        auditor = RunAuditor(
-            self._ff, self.config, campaign="permeability"
-        )
-
-        def runner(index: int) -> Optional[List[str]]:
-            task = tasks[index]
-            return auditor.run(
-                index, lambda ff: self._one_run(*task, ff=ff)
-            )
-
-        # batch_width > 0: answer contiguous same-module task spans
-        # from the vectorized core (bit-identical; see repro.fi.vector)
-        runner = wrap_runner(
-            "permeability", runner, tasks, self.config, self.factory,
-            auditor=auditor, goldens=self.goldens,
-            direct_only=self.direct_only,
-        )
-
-        fingerprint_parts = [
-            "permeability", system.name, self.seed,
-            runs_budget, self.direct_only,
-            [case.label for case in self.test_cases],
-        ]
-        if self.modules is not None:
-            fingerprint_parts.append(sorted(self.modules))
-        fingerprint = fingerprint_of(*fingerprint_parts)
-        sentinel = golden_sentinel(self.factory, self.test_cases[0])
-        if adaptive:
-            strata = [
-                AdaptiveStratum(
-                    label=f"{key_in[0]}.{key_in[1]}",
-                    indices=tuple(
-                        range(i * runs_budget, (i + 1) * runs_budget)
-                    ),
-                )
-                for i, key_in in enumerate(pair_keys)
-            ]
-            ports_of = {
-                f"{key_in[0]}.{key_in[1]}": out_ports[key_in]
-                for key_in in pair_keys
-            }
-
-            def counts_of(stratum, executed):
-                active_n = 0
-                hits_per_port = {port: 0 for port in ports_of[stratum.label]}
-                for hits in executed:
-                    if hits is None or isinstance(hits, TaskFailure):
-                        continue
-                    active_n += 1
-                    for out_port in hits:
-                        hits_per_port[out_port] += 1
-                return {
-                    port: (count, active_n)
-                    for port, count in hits_per_port.items()
-                }
-
-            sampler = AdaptiveSampler(
-                executor,
-                strata,
-                counts_of,
-                rule=stopping_rule_from(self.config),
-                min_batch=self.config.min_batch,
-            )
-            results = sampler.run(
-                runner, len(tasks), fingerprint, sentinel=sentinel
-            )
-            self.telemetry = sampler.telemetry
-            self.integrity_violations = list(sampler.violations)
-            self.stratum_reports = list(sampler.reports)
-        else:
-            results = executor.run_tasks(
-                runner, len(tasks), fingerprint, sentinel=sentinel
-            )
-            self.telemetry = executor.telemetry
-            self.integrity_violations = list(executor.violations)
-            self.stratum_reports = []
-        executor.close()
-        close_runner(runner)
-
-        # Phase 3: aggregate in task order (== legacy loop order).
+        plan, results = _execute(self, "permeability", self._plan)
+        out_ports: Dict[Tuple[str, str], Tuple[str, ...]] = plan.layout
         direct: Dict[Tuple[str, str, str], int] = {}
         active: Dict[Tuple[str, str], int] = {}
-        for key_in in pair_keys:
-            active[key_in] = 0
-            for out_port in out_ports[key_in]:
-                direct[(key_in[0], key_in[1], out_port)] = 0
-        for key_in, hits in zip(task_pair, results):
+        for (module, in_port), outputs in out_ports.items():
+            active[(module, in_port)] = 0
+            for out_port in outputs:
+                direct[(module, in_port, out_port)] = 0
+        for (module, in_port, *_), hits in zip(plan.tasks, results):
             if (
                 hits is None
                 or hits is SKIPPED
                 or isinstance(hits, TaskFailure)
             ):
                 continue
-            active[key_in] += 1
+            active[(module, in_port)] += 1
             for out_port in hits:
-                direct[(key_in[0], key_in[1], out_port)] += 1
+                direct[(module, in_port, out_port)] += 1
         values = {
             (m, i, k): (
                 direct[(m, i, k)] / active[(m, i)] if active[(m, i)] else 0.0
@@ -446,6 +435,84 @@ class PermeabilityCampaign:
             active_runs=active,
             values=values,
             task_failures=_collect_failures(results),
+        )
+
+    def _plan(self, system) -> _CampaignPlan:
+        if self.modules is not None:
+            known = {module.name for module in system.modules()}
+            unknown = [m for m in self.modules if m not in known]
+            if unknown:
+                raise CampaignError(
+                    f"unknown modules {unknown}; "
+                    f"system has {sorted(known)}"
+                )
+        runs_budget = _runs_budget(self.config, self.runs_per_input)
+        # Pre-draw every random parameter in the legacy serial loop
+        # order (module -> in_port -> run_index), for every module:
+        # a restricted campaign drops the other modules' tasks only
+        # after drawing them.  The adaptive path pre-draws the
+        # identical full-budget list — a stopped stratum simply never
+        # dispatches its tail.
+        out_ports: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        tasks: List[Tuple[str, str, TestCase, int, int]] = []
+        for module in system.modules():
+            kept = self.modules is None or module.name in self.modules
+            for in_port in module.inputs:
+                signal = system.signal_of_input(module.name, in_port)
+                width = system.signal(signal).width
+                drawn = []
+                for run_index in range(runs_budget):
+                    test_case = self.test_cases[
+                        run_index % len(self.test_cases)
+                    ]
+                    golden = self.goldens.get(test_case)
+                    from_tick = self.rng.randrange(0, golden.completion_tick)
+                    bit = self.rng.randrange(0, width)
+                    drawn.append(
+                        (module.name, in_port, test_case, from_tick, bit)
+                    )
+                if kept:
+                    out_ports[(module.name, in_port)] = tuple(module.outputs)
+                    tasks.extend(drawn)
+
+        ports_of = {
+            f"{m}.{i}": outputs for (m, i), outputs in out_ports.items()
+        }
+
+        def counts_of(stratum, executed):
+            active_n = 0
+            hits_per_port = {port: 0 for port in ports_of[stratum.label]}
+            for hits in executed:
+                if hits is None or isinstance(hits, TaskFailure):
+                    continue
+                active_n += 1
+                for out_port in hits:
+                    hits_per_port[out_port] += 1
+            return {
+                port: (count, active_n)
+                for port, count in hits_per_port.items()
+            }
+
+        fingerprint = [
+            "permeability", system.name, self.seed,
+            runs_budget, self.direct_only,
+            [case.label for case in self.test_cases],
+        ]
+        if self.modules is not None:
+            # tagged, so checkpoints of restricted campaigns that drew
+            # only their own modules' parameters never resume
+            fingerprint.append(["modules", *sorted(self.modules)])
+        return _CampaignPlan(
+            tasks=tasks,
+            one_run=lambda task, ff: self._one_run(*task, ff=ff),
+            fingerprint=fingerprint,
+            ff=self._ff,
+            case_of=lambda task: task[2],
+            tick_of=lambda task: task[3],
+            wrap={"goldens": self.goldens, "direct_only": self.direct_only},
+            strata=_strata(list(ports_of), runs_budget),
+            counts_of=counts_of,
+            layout=out_ports,
         )
 
     def _one_run(
@@ -628,7 +695,7 @@ class DetectionResult:
         return {"total": hits / total_err}
 
 
-class DetectionCampaign:
+class DetectionCampaign(_Campaign):
     """Measure EA detection coverage for errors at the system inputs.
 
     Every run: one transient bit flip in one system input signal at a
@@ -651,132 +718,18 @@ class DetectionCampaign:
             raise CampaignError(
                 f"runs_per_signal must be positive, got {runs_per_signal}"
             )
-        self.factory = _resolve_factory(factory)
-        self.test_cases = _resolve_test_cases(factory, test_cases, config)
+        super().__init__(factory, test_cases, seed, config)
         self.specs = list(assertion_specs)
         self.runs_per_signal = runs_per_signal
         self.targets = list(targets) if targets is not None else None
-        self.seed = _resolve_seed(seed, config)
-        self.rng = random.Random(self.seed)
-        self.config = config
-        self.goldens = golden_cache.store_for(
-            _target_label(factory), self.factory
-        )
         self._ff = FastForward(
-            self.factory, _target_label(factory), config=config,
+            self.factory, self._target, config=config,
             bank_specs=self.specs,
         )
-        self.telemetry: Optional[CampaignTelemetry] = None
-        self.integrity_violations: List[IntegrityViolation] = []
-        #: per-stratum spend reports (adaptive campaigns only).
-        self.stratum_reports: List[StratumReport] = []
-
-    def _runs_budget(self) -> int:
-        """Per-signal budget: ``max_runs`` caps adaptive campaigns."""
-        if (
-            self.config is not None
-            and self.config.adaptive
-            and self.config.max_runs is not None
-        ):
-            return self.config.max_runs
-        return self.runs_per_signal
 
     def run(self) -> DetectionResult:
-        executor = CampaignExecutor(self.config, campaign="detection")
-        probe = self.factory(self.test_cases[0])
-        targets = (
-            self.targets
-            if self.targets is not None
-            else probe.system.system_inputs()
-        )
-        ea_names = [spec.name for spec in self.specs]
-        adaptive = self.config is not None and self.config.adaptive
-        runs_budget = self._runs_budget()
-
-        # Phase 1: pre-draw (target -> run_index), legacy order.
-        tasks: List[Tuple[str, TestCase, int, int]] = []
-        for target in targets:
-            width = probe.system.signal(target).width
-            for run_index in range(runs_budget):
-                test_case = self.test_cases[run_index % len(self.test_cases)]
-                golden = self.goldens.get(test_case)
-                tick = self.rng.randrange(0, golden.completion_tick)
-                bit = self.rng.randrange(0, width)
-                tasks.append((target, test_case, tick, bit))
-        _preload_tracks(
-            self._ff, tasks, case_of=lambda t: t[1], tick_of=lambda t: t[2]
-        )
-
-        # Phase 2: execute, audit-replaying a sampled fraction.
-        auditor = RunAuditor(self._ff, self.config, campaign="detection")
-
-        def runner(index: int) -> Any:
-            task = tasks[index]
-            return auditor.run(
-                index, lambda ff: self._one_run(*task, ff=ff)
-            )
-
-        # batch_width > 0: advance contiguous spans of injected runs
-        # through the vectorized core (bit-identical; repro.fi.vector)
-        runner = wrap_runner(
-            "detection", runner, tasks, self.config, self.factory,
-            auditor=auditor, specs=self.specs,
-        )
-
-        fingerprint = fingerprint_of(
-            "detection", probe.system.name, self.seed,
-            runs_budget, list(targets), ea_names,
-            [case.label for case in self.test_cases],
-        )
-        sentinel = golden_sentinel(self.factory, self.test_cases[0])
-        if adaptive:
-            strata = [
-                AdaptiveStratum(
-                    label=target,
-                    indices=tuple(
-                        range(i * runs_budget, (i + 1) * runs_budget)
-                    ),
-                )
-                for i, target in enumerate(targets)
-            ]
-
-            def counts_of(stratum, executed):
-                # monitored proportion: any-EA detection coverage over
-                # the *active* errors (dict outcomes) of the stratum
-                active_n = 0
-                detected = 0
-                for outcome in executed:
-                    if not isinstance(outcome, dict):
-                        continue
-                    active_n += 1
-                    if outcome["fired"]:
-                        detected += 1
-                return {"coverage": (detected, active_n)}
-
-            sampler = AdaptiveSampler(
-                executor,
-                strata,
-                counts_of,
-                rule=stopping_rule_from(self.config),
-                min_batch=self.config.min_batch,
-            )
-            results = sampler.run(
-                runner, len(tasks), fingerprint, sentinel=sentinel
-            )
-            self.telemetry = sampler.telemetry
-            self.integrity_violations = list(sampler.violations)
-            self.stratum_reports = list(sampler.reports)
-        else:
-            results = executor.run_tasks(
-                runner, len(tasks), fingerprint, sentinel=sentinel
-            )
-            self.telemetry = executor.telemetry
-            self.integrity_violations = list(executor.violations)
-            self.stratum_reports = []
-        executor.close()
-        close_runner(runner)
-
-        # Phase 3: aggregate in task order.
+        plan, results = _execute(self, "detection", self._plan)
+        targets: List[str] = plan.layout
         n_injected: Dict[str, int] = {t: 0 for t in targets}
         n_err: Dict[str, int] = {t: 0 for t in targets}
         detections: Dict[Tuple[str, str], int] = {}
@@ -785,7 +738,7 @@ class DetectionCampaign:
         run_latencies: Dict[str, List[Dict[str, int]]] = {
             t: [] for t in targets
         }
-        for (target, _, _, _), outcome in zip(tasks, results):
+        for (target, _, _, _), outcome in zip(plan.tasks, results):
             if outcome is SKIPPED or isinstance(outcome, TaskFailure):
                 continue  # skipped or quarantined: no observation
             n_injected[target] += 1
@@ -803,8 +756,8 @@ class DetectionCampaign:
                 key = (target, ea)
                 detections[key] = detections.get(key, 0) + 1
         return DetectionResult(
-            targets=list(targets),
-            ea_names=ea_names,
+            targets=targets,
+            ea_names=[spec.name for spec in self.specs],
             n_injected=n_injected,
             n_err=n_err,
             detections=detections,
@@ -812,6 +765,54 @@ class DetectionCampaign:
             run_records=run_records,
             run_latencies=run_latencies,
             task_failures=_collect_failures(results),
+        )
+
+    def _plan(self, system) -> _CampaignPlan:
+        targets = list(
+            self.targets
+            if self.targets is not None
+            else system.system_inputs()
+        )
+        runs_budget = _runs_budget(self.config, self.runs_per_signal)
+        # pre-draw (target -> run_index), legacy order
+        tasks: List[Tuple[str, TestCase, int, int]] = []
+        for target in targets:
+            width = system.signal(target).width
+            for run_index in range(runs_budget):
+                test_case = self.test_cases[run_index % len(self.test_cases)]
+                golden = self.goldens.get(test_case)
+                tick = self.rng.randrange(0, golden.completion_tick)
+                bit = self.rng.randrange(0, width)
+                tasks.append((target, test_case, tick, bit))
+
+        def counts_of(stratum, executed):
+            # monitored proportion: any-EA detection coverage over
+            # the *active* errors (dict outcomes) of the stratum
+            active_n = 0
+            detected = 0
+            for outcome in executed:
+                if not isinstance(outcome, dict):
+                    continue
+                active_n += 1
+                if outcome["fired"]:
+                    detected += 1
+            return {"coverage": (detected, active_n)}
+
+        return _CampaignPlan(
+            tasks=tasks,
+            one_run=lambda task, ff: self._one_run(*task, ff=ff),
+            fingerprint=[
+                "detection", system.name, self.seed,
+                runs_budget, targets, [spec.name for spec in self.specs],
+                [case.label for case in self.test_cases],
+            ],
+            ff=self._ff,
+            case_of=lambda task: task[1],
+            tick_of=lambda task: task[2],
+            wrap={"specs": self.specs},
+            strata=_strata(targets, runs_budget),
+            counts_of=counts_of,
+            layout=targets,
         )
 
     def _one_run(
@@ -920,6 +921,37 @@ class MemoryCampaignResult:
         )
 
 
+def _memory_model_tasks(campaign, system, rng: random.Random):
+    """The pre-draw shared by the memory and recovery campaigns.
+
+    One ``(location, test case, bit, phase)`` task per pair, drawn in
+    (location -> test case) order, plus the fingerprint parts common
+    to both campaigns.
+    """
+    locations = (
+        campaign._locations
+        if campaign._locations is not None
+        else MemoryMap(system).locations()
+    )
+    tasks: List[Tuple[MemoryLocation, TestCase, int, int]] = []
+    for location in locations:
+        for test_case in campaign.test_cases:
+            bit = rng.randrange(0, location.valid_bits)
+            # random phase within the period: the injection train
+            # must not be systematically aligned with the slot
+            # schedule, or flips into producer-rewritten stores
+            # would always be overwritten before anyone reads them
+            phase = rng.randrange(0, campaign.period_ticks)
+            tasks.append((location, test_case, bit, phase))
+    fingerprint = [
+        system.name, campaign.seed, campaign.period_ticks,
+        [spec.name for spec in campaign.specs],
+        [location.label for location in locations],
+        [case.label for case in campaign.test_cases],
+    ]
+    return tasks, fingerprint
+
+
 # ======================================================================
 # Recovery (ERM) effectiveness under the memory error model.
 # ======================================================================
@@ -977,7 +1009,7 @@ class RecoveryResult:
         )
 
 
-class RecoveryCampaign:
+class RecoveryCampaign(_Campaign):
     """Measure the effect of containment wrappers (ERMs) at the
     EA-guarded signals under the harsher error model.
 
@@ -1003,67 +1035,16 @@ class RecoveryCampaign:
         policies=None,
         config: Optional[CampaignConfig] = None,
     ):
-        self.factory = _resolve_factory(factory)
-        self.test_cases = _resolve_test_cases(factory, test_cases, config)
+        super().__init__(factory, test_cases, seed, config)
         self.specs = list(assertion_specs)
         self.period_ticks = period_ticks
-        self.seed = _resolve_seed(seed, config)
         self.policies = policies
-        self.config = config
         self._locations = list(locations) if locations is not None else None
-        self._target = _target_label(factory)
-        self.telemetry: Optional[CampaignTelemetry] = None
-        self.integrity_violations: List[IntegrityViolation] = []
 
     def run(self) -> RecoveryResult:
-        executor = CampaignExecutor(self.config, campaign="recovery")
-        probe = self.factory(self.test_cases[0])
-        locations = (
-            self._locations
-            if self._locations is not None
-            else MemoryMap(probe.system).locations()
-        )
-        rng = random.Random(self.seed)
-
-        # Phase 1: pre-draw (location -> test case), legacy order.
-        tasks: List[Tuple[MemoryLocation, TestCase, int, int]] = []
-        for location in locations:
-            for test_case in self.test_cases:
-                bit = rng.randrange(0, location.valid_bits)
-                phase = rng.randrange(0, self.period_ticks)
-                tasks.append((location, test_case, bit, phase))
-
-        # Phase 2: execute.
-        def runner(index: int) -> Optional[Dict[str, Any]]:
-            return self._one_run(*tasks[index])
-
-        runner = wrap_runner(
-            "recovery", runner, tasks, self.config, self.factory,
-            specs=self.specs, policies=self.policies,
-            period_ticks=self.period_ticks,
-        )
-        results = executor.run_tasks(
-            runner,
-            len(tasks),
-            fingerprint_of(
-                "recovery", probe.system.name, self.seed,
-                self.period_ticks, [spec.name for spec in self.specs],
-                [location.label for location in locations],
-                [case.label for case in self.test_cases],
-                self.policies,
-            ),
-            # no fast-forward (and so no audit replay) here, but the
-            # drift sentinel still guards every pool worker
-            sentinel=golden_sentinel(self.factory, self.test_cases[0]),
-        )
-        self.telemetry = executor.telemetry
-        self.integrity_violations = list(executor.violations)
-        executor.close()
-        close_runner(runner)
-
-        # Phase 3: aggregate in task order.
+        plan, results = _execute(self, "recovery", self._plan)
         outcomes: List[RecoveryOutcome] = []
-        for (location, _, _, _), outcome in zip(tasks, results):
+        for (location, _, _, _), outcome in zip(plan.tasks, results):
             if outcome is None or isinstance(outcome, TaskFailure):
                 continue
             outcomes.append(
@@ -1079,6 +1060,23 @@ class RecoveryCampaign:
         return RecoveryResult(
             outcomes=outcomes,
             task_failures=_collect_failures(results),
+        )
+
+    def _plan(self, system) -> _CampaignPlan:
+        # every run() redraws from the seed; no fast-forward (and so no
+        # track preload or audit replay), see _one_run
+        tasks, fingerprint = _memory_model_tasks(
+            self, system, random.Random(self.seed)
+        )
+        return _CampaignPlan(
+            tasks=tasks,
+            one_run=lambda task, ff: self._one_run(*task),
+            fingerprint=["recovery", *fingerprint, self.policies],
+            wrap={
+                "specs": self.specs,
+                "policies": self.policies,
+                "period_ticks": self.period_ticks,
+            },
         )
 
     def _one_run(
@@ -1123,7 +1121,7 @@ class RecoveryCampaign:
         }
 
 
-class MemoryCampaign:
+class MemoryCampaign(_Campaign):
     """Periodic bit flips into RAM and stack locations (Section 7).
 
     Enumerates (a subset of) the memory map's locations; for each
@@ -1148,83 +1146,23 @@ class MemoryCampaign:
         seed: Optional[int] = None,
         config: Optional[CampaignConfig] = None,
     ):
-        self.factory = _resolve_factory(factory)
-        self.test_cases = _resolve_test_cases(factory, test_cases, config)
+        super().__init__(factory, test_cases, seed, config)
         self.specs = list(assertion_specs)
         self.period_ticks = period_ticks
-        self.seed = _resolve_seed(seed, config)
-        self.rng = random.Random(self.seed)
-        self.config = config
         self._locations = list(locations) if locations is not None else None
         # periodic flips never quiesce, so only the prefix before the
         # first period boundary can be skipped; with the default period
         # (20 ticks) every phase lands before the first checkpoint and
         # the engine stays entirely out of the way
         self._ff = FastForward(
-            self.factory, _target_label(factory), config=config,
+            self.factory, self._target, config=config,
             bank_specs=self.specs, resync=False,
         )
-        self.telemetry: Optional[CampaignTelemetry] = None
-        self.integrity_violations: List[IntegrityViolation] = []
 
     def run(self) -> MemoryCampaignResult:
-        executor = CampaignExecutor(self.config, campaign="memory")
-        probe = self.factory(self.test_cases[0])
-        locations = (
-            self._locations
-            if self._locations is not None
-            else MemoryMap(probe.system).locations()
-        )
-
-        # Phase 1: pre-draw (location -> test case), legacy order.
-        tasks: List[Tuple[MemoryLocation, TestCase, int, int]] = []
-        for location in locations:
-            for test_case in self.test_cases:
-                bit = self.rng.randrange(0, location.valid_bits)
-                # random phase within the period: the injection train
-                # must not be systematically aligned with the slot
-                # schedule, or flips into producer-rewritten stores
-                # would always be overwritten before anyone reads them
-                phase = self.rng.randrange(0, self.period_ticks)
-                tasks.append((location, test_case, bit, phase))
-        _preload_tracks(
-            self._ff, tasks, case_of=lambda t: t[1], tick_of=lambda t: t[3]
-        )
-
-        # Phase 2: execute, audit-replaying a sampled fraction (only
-        # runs that actually fast-forwarded are ever re-executed).
-        auditor = RunAuditor(self._ff, self.config, campaign="memory")
-
-        def runner(index: int) -> Optional[Dict[str, Any]]:
-            task = tasks[index]
-            return auditor.run(
-                index, lambda ff: self._one_run(*task, ff=ff)
-            )
-
-        runner = wrap_runner(
-            "memory", runner, tasks, self.config, self.factory,
-            auditor=auditor, specs=self.specs,
-            period_ticks=self.period_ticks,
-        )
-        results = executor.run_tasks(
-            runner,
-            len(tasks),
-            fingerprint_of(
-                "memory", probe.system.name, self.seed,
-                self.period_ticks, [spec.name for spec in self.specs],
-                [location.label for location in locations],
-                [case.label for case in self.test_cases],
-            ),
-            sentinel=golden_sentinel(self.factory, self.test_cases[0]),
-        )
-        self.telemetry = executor.telemetry
-        self.integrity_violations = list(executor.violations)
-        executor.close()
-        close_runner(runner)
-
-        # Phase 3: aggregate in task order.
+        plan, results = _execute(self, "memory", self._plan)
         records: List[MemoryRunRecord] = []
-        for (location, _, _, _), outcome in zip(tasks, results):
+        for (location, _, _, _), outcome in zip(plan.tasks, results):
             if outcome is None or isinstance(outcome, TaskFailure):
                 continue
             records.append(
@@ -1239,6 +1177,19 @@ class MemoryCampaign:
             records=records,
             ea_names=[spec.name for spec in self.specs],
             task_failures=_collect_failures(results),
+        )
+
+    def _plan(self, system) -> _CampaignPlan:
+        # only runs that actually fast-forwarded are ever audited
+        tasks, fingerprint = _memory_model_tasks(self, system, self.rng)
+        return _CampaignPlan(
+            tasks=tasks,
+            one_run=lambda task, ff: self._one_run(*task, ff=ff),
+            fingerprint=["memory", *fingerprint],
+            ff=self._ff,
+            case_of=lambda task: task[1],
+            tick_of=lambda task: task[3],
+            wrap={"specs": self.specs, "period_ticks": self.period_ticks},
         )
 
     def _one_run(

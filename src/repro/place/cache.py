@@ -47,8 +47,10 @@ __all__ = [
     "cached_estimate",
 ]
 
-#: bumped when the payload layout changes; part of every fingerprint.
-CACHE_SCHEMA_VERSION = 1
+#: bumped when the payload layout or the meaning of stored counts
+#: changes; part of every fingerprint.  Version 2: restricted
+#: campaigns draw at the full campaign's RNG stream positions.
+CACHE_SCHEMA_VERSION = 2
 
 
 # ======================================================================
@@ -323,9 +325,11 @@ def cached_estimate(
     the stored counts; the rest are measured by one restricted
     :class:`PermeabilityCampaign` (``modules=missing``) and stored.
     With an empty cache this produces exactly the counts a full
-    uncached campaign with the same seed yields, because the module
-    iteration (and thus the RNG draw order) is the system order
-    either way.
+    uncached campaign with the same seed yields, and so does any mix
+    of hits and misses: a restricted campaign draws every module's
+    parameters in system order and keeps only the missing modules'
+    runs, so each of them sees the RNG stream positions of the full
+    campaign.
 
     *salts* folds per-module revision tokens into the fingerprints
     (a changed salt is a changed module); *invalidate* instead forces

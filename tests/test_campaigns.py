@@ -161,3 +161,38 @@ class TestMemoryCampaign:
     def test_requires_test_cases(self):
         with pytest.raises(CampaignError):
             MemoryCampaign(factory, [], list(EA_BY_NAME.values()))
+
+
+class TestPipelineCleanup:
+    def test_interrupted_dispatch_closes_executor_and_runner(
+        self, monkeypatch, two_cases, system
+    ):
+        """Ctrl-C (or an integrity abort) in dispatch still releases the
+        result store and the batched runner's shared memory."""
+        import repro.fi.campaign as campaign_mod
+
+        closed = []
+        real_close = campaign_mod.CampaignExecutor.close
+
+        def interrupt(self, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        def close(self):
+            closed.append("executor")
+            real_close(self)
+
+        monkeypatch.setattr(
+            campaign_mod.CampaignExecutor, "run_tasks", interrupt
+        )
+        monkeypatch.setattr(campaign_mod.CampaignExecutor, "close", close)
+        monkeypatch.setattr(
+            campaign_mod, "close_runner",
+            lambda runner: closed.append("runner"),
+        )
+        locations = MemoryMap(system).locations(Region.RAM)[:1]
+        with pytest.raises(KeyboardInterrupt):
+            MemoryCampaign(
+                factory, two_cases[:1], list(EA_BY_NAME.values()),
+                locations=locations, seed=5,
+            ).run()
+        assert closed == ["executor", "runner"]

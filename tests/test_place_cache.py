@@ -29,6 +29,7 @@ from repro.target.wiring import build_arrestment_system
 
 RUNS = 2
 SEED = 2002
+MODULES = [module.name for module in build_arrestment_system().modules()]
 
 
 def factory(test_case):
@@ -97,8 +98,9 @@ class TestColdVsWarm:
 
 
 class TestInvalidation:
+    @pytest.mark.parametrize("module", MODULES)
     def test_salted_fingerprint_reinjects_only_that_module(
-        self, tmp_path, cases, full_estimate
+        self, tmp_path, cases, full_estimate, module
     ):
         with PlacementCache(str(tmp_path / "cache.json")) as cache:
             cached_estimate(
@@ -107,14 +109,29 @@ class TestInvalidation:
             salted, telemetry = cached_estimate(
                 factory, cases, cache,
                 runs_per_input=RUNS, seed=SEED,
-                salts={"CLOCK": "rev2"},
+                salts={module: "rev2"},
             )
-        assert telemetry.misses == ("CLOCK",)
-        assert "CLOCK" not in telemetry.hits
+        assert telemetry.misses == (module,)
+        assert module not in telemetry.hits
         assert len(telemetry.hits) == 5
-        # the restricted campaign redraws CLOCK with the same seed, so
-        # the merged estimate still matches the full campaign
+        # the restricted campaign redraws the module at the RNG stream
+        # positions of the full campaign, so the merged estimate still
+        # matches it exactly
         assert salted.values == full_estimate.values
+        restricted = PermeabilityCampaign(
+            factory, cases, runs_per_input=RUNS, seed=SEED,
+            modules=[module],
+        ).run()
+        assert restricted.direct_counts == {
+            key: count
+            for key, count in full_estimate.direct_counts.items()
+            if key[0] == module
+        }
+        assert restricted.active_runs == {
+            key: runs
+            for key, runs in full_estimate.active_runs.items()
+            if key[0] == module
+        }
 
     def test_forced_invalidation_stores_under_plain_fingerprint(
         self, tmp_path, cases
