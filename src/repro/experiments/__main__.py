@@ -62,7 +62,8 @@ from repro.targets import available_targets
 def add_execution_options(parser: argparse.ArgumentParser) -> None:
     """The campaign-execution flags shared by the CLI entry points."""
     parser.add_argument(
-        "--scale", choices=sorted(SCALES), default=default_scale()
+        "--scale", choices=sorted(SCALES), default=None,
+        help="workload scale (default: REPRO_SCALE or bench)",
     )
     parser.add_argument("--seed", type=int, default=2002)
     parser.add_argument(
@@ -195,7 +196,7 @@ def add_execution_options(parser: argparse.ArgumentParser) -> None:
 
 def context_from_args(args: argparse.Namespace) -> ExperimentContext:
     return ExperimentContext(
-        scale=args.scale,
+        scale=args.scale or default_scale(),
         seed=args.seed,
         target=args.target,
         jobs=args.jobs,

@@ -39,7 +39,7 @@ Per-stratum spend, savings and stop reasons are recorded in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Any,
     Callable,
@@ -72,6 +72,24 @@ __all__ = [
     "AdaptiveSampler",
     "stopping_rule_from",
 ]
+
+#: telemetry fields every round reports cumulatively: the golden-cache
+#: counters run from the executor's construction and the store
+#: statistics over the store instance all rounds share, so the latest
+#: round's value already covers the whole campaign
+_CUMULATIVE = frozenset({
+    "cache_hits",
+    "cache_misses",
+    "store_backend",
+    "store_flushes",
+    "store_flushes_skipped",
+    "store_records_written",
+    "store_bytes_written",
+})
+
+#: numeric telemetry fields that describe the run instead of counting
+#: it; the sampler sets them itself
+_DESCRIPTIVE = frozenset({"jobs", "total_runs"})
 
 
 class _Skipped:
@@ -165,13 +183,14 @@ def stopping_rule_from(config: CampaignConfig) -> Optional[StoppingRule]:
     bit-identical to fixed-n scheduling (the A/B determinism
     contract).
     """
-    if config.ci_halfwidth <= 0.0:
+    sampling = config.sampling
+    if sampling.ci_halfwidth <= 0.0:
         return None
     return StoppingRule(
-        level=config.ci_level,
-        halfwidth=config.ci_halfwidth,
-        zero_threshold=config.zero_threshold,
-        saturation_threshold=config.saturation_threshold,
+        level=sampling.ci_level,
+        halfwidth=sampling.ci_halfwidth,
+        zero_threshold=sampling.zero_threshold,
+        saturation_threshold=sampling.saturation_threshold,
     )
 
 
@@ -278,43 +297,21 @@ class AdaptiveSampler:
             return "saturated"
         return "halfwidth"
 
+    @staticmethod
     def _fold_round(
-        self, aggregate: CampaignTelemetry, round_telemetry: CampaignTelemetry
+        aggregate: CampaignTelemetry, round_telemetry: CampaignTelemetry
     ) -> None:
-        aggregate.executed_runs += round_telemetry.executed_runs
-        aggregate.resumed_runs += round_telemetry.resumed_runs
-        aggregate.wall_s += round_telemetry.wall_s
-        aggregate.busy_s += round_telemetry.busy_s
-        aggregate.retries += round_telemetry.retries
-        aggregate.failures += round_telemetry.failures
-        aggregate.timeouts += round_telemetry.timeouts
-        aggregate.pool_respawns += round_telemetry.pool_respawns
-        aggregate.degraded = aggregate.degraded or round_telemetry.degraded
-        aggregate.ff_restores += round_telemetry.ff_restores
-        aggregate.ff_resyncs += round_telemetry.ff_resyncs
-        aggregate.ff_ticks_saved += round_telemetry.ff_ticks_saved
-        aggregate.ff_tracks += round_telemetry.ff_tracks
-        aggregate.audits += round_telemetry.audits
-        aggregate.audit_mismatches += round_telemetry.audit_mismatches
-        aggregate.audit_repairs += round_telemetry.audit_repairs
-        aggregate.drift_events += round_telemetry.drift_events
-        aggregate.checkpoint_rejects += round_telemetry.checkpoint_rejects
-        # the executor's golden-cache counters are cumulative since its
-        # construction, so the latest round's values already cover the
-        # whole campaign
-        aggregate.cache_hits = round_telemetry.cache_hits
-        aggregate.cache_misses = round_telemetry.cache_misses
-        # store statistics are cumulative over the executor's store
-        # instance, which every round shares — assign, don't sum
-        aggregate.store_backend = round_telemetry.store_backend
-        aggregate.store_flushes = round_telemetry.store_flushes
-        aggregate.store_flushes_skipped = (
-            round_telemetry.store_flushes_skipped
-        )
-        aggregate.store_records_written = (
-            round_telemetry.store_records_written
-        )
-        aggregate.store_bytes_written = round_telemetry.store_bytes_written
+        """Fold one round's telemetry into the campaign's: counts and
+        times are summed, flags OR'd, cumulative fields assigned."""
+        for item in fields(CampaignTelemetry):
+            name = item.name
+            value = getattr(round_telemetry, name)
+            if name in _CUMULATIVE:
+                setattr(aggregate, name, value)
+            elif isinstance(value, bool):
+                setattr(aggregate, name, getattr(aggregate, name) or value)
+            elif isinstance(value, (int, float)) and name not in _DESCRIPTIVE:
+                setattr(aggregate, name, getattr(aggregate, name) + value)
 
     # ------------------------------------------------------------------
     def run(

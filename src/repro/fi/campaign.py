@@ -39,7 +39,7 @@ Golden runs are shared through the process-wide
 :data:`~repro.fi.executor.golden_cache`.
 
 The sampled campaigns (permeability and detection) additionally
-support **adaptive scheduling** (``config.adaptive``): the pre-drawn
+support **adaptive scheduling** (``config.sampling``): the pre-drawn
 task list is unchanged, but batches are dispatched per stratum through
 an :class:`~repro.fi.adaptive.AdaptiveSampler`, which stops a stratum
 as soon as its Wilson intervals certify the estimates (architectural
@@ -197,8 +197,8 @@ class _Campaign:
 
 def _runs_budget(config: Optional[CampaignConfig], runs: int) -> int:
     """Per-stratum budget: ``max_runs`` caps adaptive campaigns."""
-    if config is not None and config.adaptive and config.max_runs is not None:
-        return config.max_runs
+    if config is not None and config.sampling.enabled:
+        return config.sampling.max_runs or runs
     return runs
 
 
@@ -296,13 +296,17 @@ def _execute(
         fingerprint = fingerprint_of(*plan.fingerprint)
         # the drift sentinel guards every pool worker, audited or not
         sentinel = golden_sentinel(campaign.factory, campaign.test_cases[0])
-        if plan.strata is not None and config is not None and config.adaptive:
+        if (
+            plan.strata is not None
+            and config is not None
+            and config.sampling.enabled
+        ):
             dispatcher = AdaptiveSampler(
                 executor,
                 plan.strata,
                 plan.counts_of,
                 rule=stopping_rule_from(config),
-                min_batch=config.min_batch,
+                min_batch=config.sampling.min_batch,
             )
             results = dispatcher.run(
                 runner, len(tasks), fingerprint, sentinel=sentinel

@@ -97,7 +97,6 @@ import random
 import signal
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -116,15 +115,10 @@ from typing import (
 
 from repro.errors import CampaignError, IntegrityError
 from repro.fi.golden import GoldenRun, GoldenRunStore
-from repro.fi.integrity import (
-    POLICIES,
-    IntegrityViolation,
-    drain_violations,
-    integrity_stats,
-)
-from repro.fi.snapshot import DEFAULT_CHECKPOINT_STRIDE, ff_stats
+from repro.fi._counters import COUNTERS, since
+from repro.fi.integrity import POLICIES, IntegrityViolation, drain_violations
+from repro.fi.snapshot import DEFAULT_CHECKPOINT_STRIDE
 from repro.fi.store import STORE_BACKENDS, ResultStore, open_store
-from repro.fi.vector import vector_stats
 
 __all__ = [
     "BACKENDS",
@@ -372,53 +366,6 @@ class VectorPolicy:
             )
 
 
-#: flat constructor kwarg -> (policy attribute, field) mapping.  The
-#: flat spellings remain readable as properties forever; *passing*
-#: them to the constructor is deprecated (``store_backend`` excepted,
-#: which was never a flat field and carries no legacy).
-_FLAT_FIELDS: Dict[str, Tuple[str, str]] = {
-    "checkpoint_path": ("checkpoint", "path"),
-    "checkpoint_every": ("checkpoint", "every"),
-    "store_backend": ("checkpoint", "backend"),
-    "task_timeout": ("fault_tolerance", "task_timeout"),
-    "retries": ("fault_tolerance", "retries"),
-    "retry_backoff_s": ("fault_tolerance", "retry_backoff_s"),
-    "retry_jitter": ("fault_tolerance", "retry_jitter"),
-    "backoff_seed": ("fault_tolerance", "backoff_seed"),
-    "max_pool_respawns": ("fault_tolerance", "max_pool_respawns"),
-    "pool_watchdog_s": ("fault_tolerance", "pool_watchdog_s"),
-    "fast_forward": ("fastforward", "enabled"),
-    "checkpoint_stride": ("fastforward", "checkpoint_stride"),
-    "track_pool": ("fastforward", "track_pool"),
-    "integrity_policy": ("integrity", "policy"),
-    "audit_fraction": ("integrity", "audit_fraction"),
-    "audit_seed": ("integrity", "audit_seed"),
-    "adaptive": ("sampling", "enabled"),
-    "ci_level": ("sampling", "ci_level"),
-    "ci_halfwidth": ("sampling", "ci_halfwidth"),
-    "min_batch": ("sampling", "min_batch"),
-    "max_runs": ("sampling", "max_runs"),
-    "zero_threshold": ("sampling", "zero_threshold"),
-    "saturation_threshold": ("sampling", "saturation_threshold"),
-    "batch_width": ("vector", "batch_width"),
-}
-
-#: flat kwargs accepted without a deprecation warning.
-_FLAT_NO_WARN = frozenset(
-    {"store_backend", "batch_width", "track_pool",
-     "retry_jitter", "backoff_seed"}
-)
-
-_POLICY_TYPES = {
-    "checkpoint": CheckpointPolicy,
-    "fault_tolerance": FaultTolerancePolicy,
-    "fastforward": FastForwardPolicy,
-    "integrity": IntegrityPolicy,
-    "sampling": AdaptivePolicy,
-    "vector": VectorPolicy,
-}
-
-
 class CampaignConfig:
     """Shared configuration accepted by every campaign driver.
 
@@ -436,14 +383,10 @@ class CampaignConfig:
             fastforward=FastForwardPolicy(checkpoint_stride=64),
             integrity=IntegrityPolicy(policy="strict"),
             sampling=AdaptivePolicy(enabled=True, ci_halfwidth=0.1),
+            vector=VectorPolicy(batch_width=16),
         )
 
-    The pre-redesign flat keyword arguments (``checkpoint_path=...``,
-    ``audit_fraction=...``, ...) are still accepted — they are mapped
-    onto the nested policies and emit a :class:`DeprecationWarning` —
-    and every flat spelling remains readable as a property
-    (``config.checkpoint_every`` == ``config.checkpoint.every``), so
-    existing call sites keep working unchanged.
+    Each policy left out takes its defaults.
     """
 
     def __init__(
@@ -458,46 +401,8 @@ class CampaignConfig:
         fastforward: Optional[FastForwardPolicy] = None,
         integrity: Optional[IntegrityPolicy] = None,
         sampling: Optional[AdaptivePolicy] = None,
-        vector: Optional["VectorPolicy"] = None,
-        **flat: Any,
+        vector: Optional[VectorPolicy] = None,
     ) -> None:
-        unknown = sorted(set(flat) - set(_FLAT_FIELDS))
-        if unknown:
-            raise CampaignError(
-                f"unknown CampaignConfig fields: {', '.join(unknown)}"
-            )
-        explicit: Dict[str, Any] = {
-            "checkpoint": checkpoint,
-            "fault_tolerance": fault_tolerance,
-            "fastforward": fastforward,
-            "integrity": integrity,
-            "sampling": sampling,
-            "vector": vector,
-        }
-        overrides: Dict[str, Dict[str, Any]] = {
-            group: {} for group in _POLICY_TYPES
-        }
-        legacy: List[str] = []
-        for name, value in flat.items():
-            group, attr = _FLAT_FIELDS[name]
-            if explicit[group] is not None:
-                raise CampaignError(
-                    f"{name}= conflicts with the explicit {group}= "
-                    f"policy; set {group}.{attr} instead"
-                )
-            overrides[group][attr] = value
-            if name not in _FLAT_NO_WARN:
-                legacy.append(name)
-        if legacy:
-            warnings.warn(
-                f"flat CampaignConfig fields "
-                f"({', '.join(sorted(legacy))}) are deprecated; pass "
-                f"nested policies (CheckpointPolicy, "
-                f"FaultTolerancePolicy, FastForwardPolicy, "
-                f"IntegrityPolicy, AdaptivePolicy) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         #: campaign RNG seed (the paper's campaigns use 2002).
         self.seed = seed
         #: test cases to cycle over; ``None`` = the driver's default.
@@ -508,11 +413,12 @@ class CampaignConfig:
         self.backend = backend
         #: JSONL run-event log; ``None`` disables file event logging.
         self.event_log_path = event_log_path
-        for group, policy_type in _POLICY_TYPES.items():
-            policy = explicit[group]
-            if policy is None:
-                policy = policy_type(**overrides[group])
-            object.__setattr__(self, group, policy)
+        self.checkpoint = checkpoint or CheckpointPolicy()
+        self.fault_tolerance = fault_tolerance or FaultTolerancePolicy()
+        self.fastforward = fastforward or FastForwardPolicy()
+        self.integrity = integrity or IntegrityPolicy()
+        self.sampling = sampling or AdaptivePolicy()
+        self.vector = vector or VectorPolicy()
         if self.jobs < 1:
             raise CampaignError(f"jobs must be >= 1, got {self.jobs}")
         if self.backend is not None and self.backend not in BACKENDS:
@@ -550,19 +456,6 @@ class CampaignConfig:
             f"integrity={self.integrity!r}, sampling={self.sampling!r}, "
             f"vector={self.vector!r})"
         )
-
-
-def _flat_property(group: str, attr: str) -> property:
-    def read(self: CampaignConfig) -> Any:
-        return getattr(getattr(self, group), attr)
-
-    read.__doc__ = f"Read-only alias of ``{group}.{attr}``."
-    return property(read)
-
-
-for _flat_name, (_group, _attr) in _FLAT_FIELDS.items():
-    setattr(CampaignConfig, _flat_name, _flat_property(_group, _attr))
-del _flat_name, _group, _attr
 
 
 def fingerprint_of(*parts: Any) -> str:
@@ -1161,9 +1054,7 @@ def _execute_attempt(
     """One attempt of one task; errors become in-band payloads."""
     started = time.perf_counter()
     fail_index, _ = active.chaos
-    ff_before = ff_stats.as_tuple()
-    integ_before = integrity_stats.as_tuple()
-    vec_before = vector_stats.as_tuple()
+    counters_before = dict(COUNTERS)
     # a batched runner answers a whole group of runs from the first
     # task that touches it, so that attempt gets the group's worth of
     # timeout budget
@@ -1177,22 +1068,6 @@ def _execute_attempt(
         with _task_alarm(timeout):
             result = active.runner(index)
         payload: Dict[str, Any] = {"ok": result}
-        # fast-forward savings travel beside the result — never inside
-        # it, so checkpoints and aggregates stay bit-identical whether
-        # fast-forwarding is on or off
-        ff_delta = tuple(
-            after - before
-            for before, after in zip(ff_before, ff_stats.as_tuple())
-        )
-        if any(ff_delta):
-            payload["ff"] = ff_delta
-        # vectorized-core counters travel the same way
-        vec_delta = tuple(
-            after - before
-            for before, after in zip(vec_before, vector_stats.as_tuple())
-        )
-        if any(vec_delta):
-            payload["vec"] = vec_delta
     except _TaskTimeout:
         payload = {
             "err": f"timed out after {timeout:g} s",
@@ -1204,14 +1079,12 @@ def _execute_attempt(
         payload = {"err": str(exc), "kind": "integrity"}
     except Exception as exc:
         payload = {"err": f"{type(exc).__name__}: {exc}", "kind": "exception"}
-    # audit counters and structured violations travel beside the
-    # result, like the fast-forward delta above
-    integ_delta = tuple(
-        after - before
-        for before, after in zip(integ_before, integrity_stats.as_tuple())
-    )
-    if any(integ_delta):
-        payload["integ"] = integ_delta
+    # counters and structured violations travel beside the result —
+    # never inside it, so checkpoints and aggregates stay bit-identical
+    # whichever engine did the work
+    counts = since(counters_before)
+    if counts:
+        payload["counts"] = counts
     violations = drain_violations()
     if violations:
         payload["viol"] = [violation.to_json() for violation in violations]
@@ -1244,9 +1117,10 @@ def _pool_chunk(
 
 def _backoff_s(config: CampaignConfig, attempt: int) -> float:
     """Exponential backoff before the given (>= 2nd) attempt."""
-    if attempt <= 1 or config.retry_backoff_s <= 0:
+    base = config.fault_tolerance.retry_backoff_s
+    if attempt <= 1 or base <= 0:
         return 0.0
-    return min(config.retry_backoff_s * (2 ** (attempt - 2)), MAX_BACKOFF_S)
+    return min(base * (2 ** (attempt - 2)), MAX_BACKOFF_S)
 
 
 def decorrelated_backoff(
@@ -1284,9 +1158,9 @@ class CampaignExecutor:
     serial.
 
     A task that raises, times out or kills its worker is retried up
-    to ``config.retries`` times and then quarantined: its result slot
-    holds a :class:`TaskFailure` instead of aborting the run.  The
-    checkpoint is flushed on every exit path.
+    to ``config.fault_tolerance.retries`` times and then quarantined:
+    its result slot holds a :class:`TaskFailure` instead of aborting
+    the run.  The checkpoint is flushed on every exit path.
     """
 
     def __init__(
@@ -1305,14 +1179,12 @@ class CampaignExecutor:
         self.violations: List[IntegrityViolation] = []
         self._events = RunEventLog(None, campaign)
         self._store: Optional[ResultStore] = None
-        # cache and fast-forward stats count from executor
-        # construction, so golden runs and checkpoint tracks built
-        # while the campaign pre-draws its parameters show up
+        # cache stats and counters count from executor construction,
+        # so golden runs and checkpoint tracks built while the
+        # campaign pre-draws its parameters show up
         self._cache_hits0 = self.cache.hits
         self._cache_misses0 = self.cache.misses
-        self._ff0 = ff_stats.as_tuple()
-        self._integ0 = integrity_stats.as_tuple()
-        self._vec0 = vector_stats.as_tuple()
+        self._counters0 = dict(COUNTERS)
 
     # ------------------------------------------------------------------
     # The result store.
@@ -1380,6 +1252,7 @@ class CampaignExecutor:
         interchangeably.
         """
         config = self.config
+        ft = config.fault_tolerance
         self.violations = []
         store = self.store
         checkpointing = store is not None
@@ -1480,46 +1353,17 @@ class CampaignExecutor:
                 flush_store()
                 since_flush = 0
 
-        def absorb_ff(ff_delta: Optional[Tuple[int, ...]]) -> None:
-            """Fold a pool worker's fast-forward delta into telemetry.
+        def absorb(counts: Dict[str, int]) -> None:
+            """Fold counter increments into the telemetry fields they
+            are named after.
 
-            Only pool results are absorbed this way: in-process work
-            (serial tasks, degraded tasks, track preloads) mutates the
-            parent's ``ff_stats`` directly and is accounted once, as
+            Pool attempts are absorbed from their payloads; in-process
+            work (serial tasks, degraded tasks, track preloads) counts
+            into the parent's table directly and is absorbed once, as
             the process-wide delta, when the run finishes.
             """
-            if ff_delta:
-                telemetry.ff_restores += ff_delta[0]
-                telemetry.ff_resyncs += ff_delta[1]
-                telemetry.ff_ticks_saved += ff_delta[2]
-                telemetry.ff_tracks += ff_delta[3]
-
-        def absorb_integrity(integ_delta: Optional[Tuple[int, ...]]) -> None:
-            """Fold a pool worker's audit counters into telemetry.
-
-            Pool results only, mirroring :func:`absorb_ff`: in-process
-            audits mutate the parent's ``integrity_stats`` directly
-            and are accounted once, as the process-wide delta, when
-            the run finishes.
-            """
-            if integ_delta:
-                telemetry.audits += integ_delta[0]
-                telemetry.audit_mismatches += integ_delta[1]
-                telemetry.audit_repairs += integ_delta[2]
-
-        def absorb_vec(vec_delta: Optional[Tuple[int, ...]]) -> None:
-            """Fold a pool worker's vectorized-core counters into
-            telemetry.  Pool results only, mirroring :func:`absorb_ff`.
-            """
-            if vec_delta:
-                telemetry.vec_batched_ticks += vec_delta[0]
-                telemetry.vec_retired_rows += vec_delta[1]
-                telemetry.vec_groups += vec_delta[2]
-                telemetry.vec_rows += vec_delta[3]
-                telemetry.vec_scalar_fallbacks += vec_delta[4]
-                if len(vec_delta) > 6:
-                    telemetry.vec_cross_case_groups += vec_delta[5]
-                    telemetry.vec_group_capacity += vec_delta[6]
+            for name, value in counts.items():
+                setattr(telemetry, name, getattr(telemetry, name) + value)
 
         def absorb_violations(payload: Dict) -> None:
             """Collect a task's structured violations (any backend).
@@ -1588,14 +1432,13 @@ class CampaignExecutor:
                 raise IntegrityError(
                     payload.get("err", "integrity violation")
                 )
-            if attempts[index] >= config.retries + 1:
+            if attempts[index] >= ft.retries + 1:
                 quarantine(index, kind, payload.get("err", ""))
 
-        ft = config.fault_tolerance
         backoff_rng = random.Random(
             ft.backoff_seed if ft.backoff_seed is not None else config.seed
         )
-        backoff_prev = config.retry_backoff_s
+        backoff_prev = ft.retry_backoff_s
 
         def backoff_sleep(attempt: int) -> None:
             """Sleep before a (>= 2nd) retry attempt.
@@ -1611,9 +1454,9 @@ class CampaignExecutor:
                 time.sleep(_backoff_s(config, attempt))
                 return
             sleep_s = decorrelated_backoff(
-                config.retry_backoff_s, backoff_prev, backoff_rng
+                ft.retry_backoff_s, backoff_prev, backoff_rng
             )
-            backoff_prev = max(sleep_s, config.retry_backoff_s)
+            backoff_prev = max(sleep_s, ft.retry_backoff_s)
             time.sleep(sleep_s)
 
         def run_serial(indices: Sequence[int]) -> None:
@@ -1687,44 +1530,54 @@ class CampaignExecutor:
 
         def run_pool(indices: Sequence[int]) -> None:
             context = multiprocessing.get_context("fork")
-            respawns_left = config.max_pool_respawns
+            respawns_left = ft.max_pool_respawns
             watchdog = config.resolved_watchdog()
             remaining = [i for i in indices if i not in done]
             pool = context.Pool(
                 processes=config.jobs, initializer=_worker_init
             )
             unhealthy = verify_pool(pool, watchdog)
+
+            def replace_pool(reason: str) -> bool:
+                """Tear down the broken pool, then respawn and verify
+                a new one.  ``False`` when no task remains or the
+                respawn budget is spent; the remaining tasks have
+                then run on the serial backend."""
+                nonlocal pool, unhealthy, respawns_left
+                pool.terminate()
+                pool.join()
+                events.emit("pool_broken", reason=reason)
+                if not remaining:
+                    return False
+                if respawns_left <= 0:
+                    telemetry.degraded = True
+                    events.emit(
+                        "backend_degraded",
+                        reason="pool respawn budget exhausted",
+                        remaining=len(remaining),
+                    )
+                    run_serial(remaining)
+                    return False
+                respawns_left -= 1
+                telemetry.pool_respawns += 1
+                pool = context.Pool(
+                    processes=config.jobs, initializer=_worker_init
+                )
+                events.emit(
+                    "pool_respawn",
+                    jobs=config.jobs,
+                    remaining=len(remaining),
+                )
+                unhealthy = verify_pool(pool, watchdog)
+                return True
+
             try:
                 while remaining:
                     if unhealthy is not None:
                         # a drifted pool never ran a task, so no
-                        # attempt budget was consumed; tear it down
-                        # like any other broken pool
-                        pool.terminate()
-                        pool.join()
-                        events.emit("pool_broken", reason=unhealthy)
-                        if respawns_left <= 0:
-                            telemetry.degraded = True
-                            events.emit(
-                                "backend_degraded",
-                                reason=(
-                                    "pool respawn budget exhausted"
-                                ),
-                                remaining=len(remaining),
-                            )
-                            run_serial(remaining)
+                        # attempt budget was consumed
+                        if not replace_pool(unhealthy):
                             return
-                        respawns_left -= 1
-                        telemetry.pool_respawns += 1
-                        pool = context.Pool(
-                            processes=config.jobs, initializer=_worker_init
-                        )
-                        events.emit(
-                            "pool_respawn",
-                            jobs=config.jobs,
-                            remaining=len(remaining),
-                        )
-                        unhealthy = verify_pool(pool, watchdog)
                         continue
                     wave_attempt = 1
                     for index in remaining:
@@ -1757,7 +1610,7 @@ class CampaignExecutor:
                         # singly once per-task timeouts are in play
                         chunk_n = (
                             1
-                            if config.task_timeout is not None
+                            if ft.task_timeout is not None
                             else max(1, len(items) // (config.jobs * 8))
                         )
                         chunks = [
@@ -1789,10 +1642,8 @@ class CampaignExecutor:
                             break
                         received += 1
                         for index, payload, busy in results:
-                            absorb_integrity(payload.get("integ"))
+                            absorb(payload.get("counts", {}))
                             if "ok" in payload:
-                                absorb_ff(payload.get("ff"))
-                                absorb_vec(payload.get("vec"))
                                 succeed(index, payload, busy)
                             else:
                                 fail_attempt(index, payload, busy)
@@ -1803,7 +1654,7 @@ class CampaignExecutor:
                     for index in indices:
                         if index in done:
                             continue
-                        if attempts[index] >= config.retries + 1:
+                        if attempts[index] >= ft.retries + 1:
                             quarantine(
                                 index,
                                 "lost",
@@ -1811,45 +1662,21 @@ class CampaignExecutor:
                             )
                         else:
                             remaining.append(index)
-                    if broken is not None:
-                        pool.terminate()
-                        pool.join()
-                        events.emit("pool_broken", reason=broken)
-                        if not remaining:
-                            break
-                        if respawns_left <= 0:
-                            telemetry.degraded = True
-                            events.emit(
-                                "backend_degraded",
-                                reason="pool respawn budget exhausted",
-                                remaining=len(remaining),
-                            )
-                            run_serial(remaining)
-                            return
-                        respawns_left -= 1
-                        telemetry.pool_respawns += 1
-                        pool = context.Pool(
-                            processes=config.jobs, initializer=_worker_init
-                        )
-                        events.emit(
-                            "pool_respawn",
-                            jobs=config.jobs,
-                            remaining=len(remaining),
-                        )
-                        unhealthy = verify_pool(pool, watchdog)
+                    if broken is not None and not replace_pool(broken):
+                        return
             finally:
                 pool.terminate()
                 pool.join()
 
         active = _ActiveCampaign(
             runner=runner,
-            timeout=config.task_timeout,
+            timeout=ft.task_timeout,
             chaos=_chaos_from_env(),
         )
         if (
             backend == "process"
             and sentinel is not None
-            and config.integrity_policy != "off"
+            and config.integrity.policy != "off"
         ):
             # the parent's own digest, computed before the fork, is
             # the reference every worker probe is compared against
@@ -1879,30 +1706,8 @@ class CampaignExecutor:
             telemetry.wall_s = time.perf_counter() - started
             telemetry.cache_hits = self.cache.hits - self._cache_hits0
             telemetry.cache_misses = self.cache.misses - self._cache_misses0
-            ff_now = ff_stats.as_tuple()
-            absorb_ff(
-                tuple(
-                    after - before
-                    for before, after in zip(self._ff0, ff_now)
-                )
-            )
-            self._ff0 = ff_now
-            integ_now = integrity_stats.as_tuple()
-            absorb_integrity(
-                tuple(
-                    after - before
-                    for before, after in zip(self._integ0, integ_now)
-                )
-            )
-            self._integ0 = integ_now
-            vec_now = vector_stats.as_tuple()
-            absorb_vec(
-                tuple(
-                    after - before
-                    for before, after in zip(self._vec0, vec_now)
-                )
-            )
-            self._vec0 = vec_now
+            absorb(since(self._counters0))
+            self._counters0 = dict(COUNTERS)
             # the no-lost-progress guarantee: flush on every exit path
             if store is not None:
                 flush_store()
@@ -1926,16 +1731,11 @@ class CampaignExecutor:
                 timeouts=telemetry.timeouts,
                 respawns=telemetry.pool_respawns,
                 degraded=telemetry.degraded,
-                audits=telemetry.audits,
-                audit_mismatches=telemetry.audit_mismatches,
-                audit_repairs=telemetry.audit_repairs,
                 drift_events=telemetry.drift_events,
                 checkpoint_rejects=telemetry.checkpoint_rejects,
                 violations=len(self.violations),
-                vec_rows=telemetry.vec_rows,
-                vec_groups=telemetry.vec_groups,
-                vec_cross_case_groups=telemetry.vec_cross_case_groups,
                 vec_occupancy=round(telemetry.vec_occupancy, 4),
+                **{name: getattr(telemetry, name) for name in COUNTERS},
                 wall_s=round(telemetry.wall_s, 3),
             )
             events.close()

@@ -27,9 +27,10 @@ This module verifies it at runtime, cheaply and by sampling:
   digest (FP environment drift, mismatched code) marks the worker's
   pool broken before any of its results are merged.
 
-Counters live in the process-local :data:`integrity_stats` (mirroring
-:data:`~repro.fi.snapshot.ff_stats`); pool workers ship the per-task
-delta — and any structured violations — home beside the task result.
+Audits, mismatches and repairs are counted in the process-wide
+:data:`repro.fi._counters.COUNTERS` table; pool workers ship the
+per-task delta — and any structured violations — home beside the
+task result.
 """
 
 from __future__ import annotations
@@ -40,21 +41,20 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.errors import IntegrityError
+from repro.fi._counters import COUNTERS
 
 __all__ = [
     "DEFAULT_POLICY",
     "POLICIES",
-    "IntegrityStats",
     "IntegrityViolation",
     "RunAuditor",
     "canonical_digest",
     "drain_violations",
     "field_diff",
     "golden_sentinel",
-    "integrity_stats",
     "push_violation",
     "run_digest",
 ]
@@ -309,32 +309,6 @@ class IntegrityViolation:
         return text
 
 
-class IntegrityStats:
-    """Process-local integrity counters.
-
-    Module-global like :data:`~repro.fi.snapshot.ff_stats`: forked
-    pool workers mutate their copy, the executor snapshots the
-    counters around each task and ships the delta home beside the
-    task result.
-    """
-
-    __slots__ = ("audits", "audit_mismatches", "audit_repairs")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.audits = 0
-        self.audit_mismatches = 0
-        self.audit_repairs = 0
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.audits, self.audit_mismatches, self.audit_repairs)
-
-
-#: the process-wide counters used by all auditing machinery.
-integrity_stats = IntegrityStats()
-
 #: violations raised since the last drain; the executor drains this
 #: after every task attempt and ships the records home in-band.
 _PENDING_VIOLATIONS: List[IntegrityViolation] = []
@@ -353,11 +327,6 @@ def drain_violations() -> List[IntegrityViolation]:
 # ======================================================================
 # Sampled audit replay.
 # ======================================================================
-def _policy_of(config: Any) -> str:
-    policy = getattr(config, "integrity_policy", None) if config else None
-    return policy if policy in POLICIES else DEFAULT_POLICY
-
-
 class RunAuditor:
     """Re-executes a sampled fraction of fast-forwarded runs in full.
 
@@ -392,12 +361,12 @@ class RunAuditor:
         disable_after: int = DEFAULT_DISABLE_AFTER,
     ) -> None:
         self.campaign = campaign
-        self.policy = _policy_of(config)
-        fraction = getattr(config, "audit_fraction", 0.0) if config else 0.0
-        self.fraction = max(0.0, min(1.0, float(fraction or 0.0)))
-        seed = getattr(config, "audit_seed", None) if config else None
+        integrity = config.integrity if config is not None else None
+        self.policy = integrity.policy if integrity else DEFAULT_POLICY
+        self.fraction = integrity.audit_fraction if integrity else 0.0
+        seed = integrity.audit_seed if integrity else None
         if seed is None:
-            seed = getattr(config, "seed", 0) if config else 0
+            seed = config.seed if config is not None else 0
         self.seed = int(seed)
         self.disable_after = disable_after
         self._ff = ff
@@ -438,25 +407,20 @@ class RunAuditor:
             return execute(None)
         if self._ff_disabled:
             return execute(self._replay_ff)
-        from repro.fi.snapshot import ff_stats
-
-        before = ff_stats.as_tuple()
+        engine_uses = COUNTERS["ff_restores"] + COUNTERS["ff_resyncs"]
         result = execute(self._ff)
         if not self.should_audit(index):
             return result
-        delta = tuple(
-            after - b for b, after in zip(before, ff_stats.as_tuple())
-        )
-        # restores / resyncs are positions 0 and 1: a run that never
-        # touched the engine is already a full replay — nothing to audit
-        if delta[0] == 0 and delta[1] == 0:
+        # a run that never touched the engine is already a full
+        # replay — nothing to audit
+        if COUNTERS["ff_restores"] + COUNTERS["ff_resyncs"] == engine_uses:
             return result
-        integrity_stats.audits += 1
+        COUNTERS["audits"] += 1
         replayed = execute(self._replay_ff)
         difference = field_diff(replayed, result)
         if difference is None:
             return result
-        integrity_stats.audit_mismatches += 1
+        COUNTERS["audit_mismatches"] += 1
         violation = IntegrityViolation(
             kind="audit_mismatch",
             campaign=self.campaign,
@@ -470,7 +434,7 @@ class RunAuditor:
             raise IntegrityError(
                 f"audit replay mismatch: {violation.describe()}"
             )
-        integrity_stats.audit_repairs += 1
+        COUNTERS["audit_repairs"] += 1
         self._mismatches += 1
         if not self._ff_disabled and self._mismatches >= self.disable_after:
             self._ff_disabled = True

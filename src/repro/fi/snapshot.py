@@ -45,9 +45,10 @@ the last divergence is redundant too.  This module eliminates both:
   flattening simply stays on the dict path.
 
 Both mechanisms preserve results bit-for-bit; they only trade redundant
-simulation for snapshot comparisons.  ``ff_stats`` counts restores,
-resynchronizations and skipped ticks; the campaign executor folds the
-per-task deltas into :class:`~repro.fi.executor.CampaignTelemetry`.
+simulation for snapshot comparisons.  Restores, resynchronizations,
+skipped ticks and recorded tracks are counted in the ``ff_*`` entries
+of :data:`repro.fi._counters.COUNTERS`, which the campaign executor
+folds into :class:`~repro.fi.executor.CampaignTelemetry`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.edm.monitors import MonitorBank
 from repro.errors import CampaignError
+from repro.fi._counters import COUNTERS
 from repro.fi.shm import ShmArrayPack, shm_available
 from repro.target.simulation import SignalTraces, SimulatorState
 
@@ -69,11 +71,9 @@ __all__ = [
     "CheckpointTrack",
     "CheckpointStore",
     "FastForward",
-    "FastForwardStats",
     "PooledTrack",
     "TrackPool",
     "checkpoint_cache",
-    "ff_stats",
 ]
 
 #: environment kill-switch for the shared-memory checkpoint pool
@@ -86,42 +86,6 @@ _NO_TRACK_POOL_ENV = "REPRO_NO_TRACK_POOL"
 #: exits) but grow the per-case track (one full closed-loop snapshot
 #: per checkpoint) and the number of resynchronization probes.
 DEFAULT_CHECKPOINT_STRIDE = 64
-
-
-# ======================================================================
-# Statistics.
-# ======================================================================
-class FastForwardStats:
-    """Process-local fast-forward counters.
-
-    Kept module-global (not per-campaign) so forked pool workers can
-    account their savings into a plain object; the executor snapshots
-    the counters around each task and ships the delta home with the
-    task result.
-    """
-
-    __slots__ = ("restores", "resyncs", "ticks_skipped", "tracks_recorded")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.restores = 0
-        self.resyncs = 0
-        self.ticks_skipped = 0
-        self.tracks_recorded = 0
-
-    def as_tuple(self) -> Tuple[int, int, int, int]:
-        return (
-            self.restores,
-            self.resyncs,
-            self.ticks_skipped,
-            self.tracks_recorded,
-        )
-
-
-#: the process-wide counters used by all fast-forward machinery.
-ff_stats = FastForwardStats()
 
 
 # ======================================================================
@@ -196,7 +160,7 @@ def record_track(
     simulator.set_tick_probe(probe)
     result = simulator.run()
     simulator.set_tick_probe(None)
-    ff_stats.tracks_recorded += 1
+    COUNTERS["ff_tracks"] += 1
     return CheckpointTrack(
         stride=stride,
         states=states,
@@ -653,8 +617,8 @@ class _ResyncWatcher:
         # deterministic simulator + identical state + quiescent injector
         # => the remaining trajectory is the golden run's, verbatim
         self.simulator.restore_state(track.final_state, restore_traces=False)
-        ff_stats.resyncs += 1
-        ff_stats.ticks_skipped += max(0, track.end_ticks - tick)
+        COUNTERS["ff_resyncs"] += 1
+        COUNTERS["ff_ticks_saved"] += max(0, track.end_ticks - tick)
         return True
 
 
@@ -727,12 +691,14 @@ class FastForward:
         self.bank_specs = list(bank_specs) if bank_specs is not None else None
         self.resync = resync
         self.store = store if store is not None else checkpoint_cache
-        stride = getattr(config, "checkpoint_stride", None)
-        self.stride = stride if stride else DEFAULT_CHECKPOINT_STRIDE
-        self.enabled = bool(getattr(config, "fast_forward", True))
+        policy = config.fastforward if config is not None else None
+        self.stride = (
+            policy.checkpoint_stride if policy else DEFAULT_CHECKPOINT_STRIDE
+        )
+        self.enabled = policy.enabled if policy else True
         self.track_pool_enabled = (
             self.enabled
-            and bool(getattr(config, "track_pool", True))
+            and (policy.track_pool if policy else True)
             and not os.environ.get(_NO_TRACK_POOL_ENV)
             and shm_available()
         )
@@ -788,8 +754,8 @@ class FastForward:
         if checkpoint.tick:
             simulator.restore_state(checkpoint, restore_traces=False)
             _chaos_corrupt_restore(simulator)
-            ff_stats.restores += 1
-            ff_stats.ticks_skipped += checkpoint.tick
+            COUNTERS["ff_restores"] += 1
+            COUNTERS["ff_ticks_saved"] += checkpoint.tick
         bank = self._fresh_bank(simulator)
         if bank is not None and checkpoint.tick:
             bank.restore(track.bank_states[checkpoint.tick])

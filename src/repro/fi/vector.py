@@ -40,8 +40,10 @@ Golden invocation streams — the reference side of the permeability
 comparison — are packed once into shared memory
 (:class:`repro.fi.shm.ShmArrayPack`) before the worker pool forks.
 
-Enabled with ``CampaignConfig(batch_width=N)`` / ``--batch-width N``
-(default 0 = scalar path).
+Enabled with ``CampaignConfig(vector=VectorPolicy(batch_width=N))`` /
+``--batch-width N`` (default 0 = scalar path).  Rows, groups, retired
+rows and the rest are counted in the ``vec_*`` entries of
+:data:`repro.fi._counters.COUNTERS`.
 """
 
 from __future__ import annotations
@@ -50,14 +52,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.fi._counters import COUNTERS
+
 try:
     import numpy as np
 except Exception:  # pragma: no cover - numpy ships with the toolchain
     np = None
 
 __all__ = [
-    "VectorStats",
-    "vector_stats",
     "RowInjection",
     "VectorRow",
     "GroupJob",
@@ -70,47 +72,6 @@ __all__ = [
     "wrap_runner",
     "close_runner",
 ]
-
-
-# ======================================================================
-# Process-wide counters (mirrors ff_stats / integrity_stats).
-# ======================================================================
-class VectorStats:
-    """Counters of the vectorized core, aggregated into telemetry."""
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        #: row-ticks advanced in batch mode (rows x ticks)
-        self.batched_ticks = 0
-        #: rows retired to the scalar path after dispatch divergence
-        self.retired_rows = 0
-        #: batches computed
-        self.groups = 0
-        #: rows whose outcome came from a batch
-        self.rows = 0
-        #: rows answered by the scalar path (audited, chaos, ungrouped)
-        self.scalar_fallbacks = 0
-        #: computed groups whose rows span more than one test case
-        self.cross_case_groups = 0
-        #: total row capacity of computed groups (groups x batch width)
-        self.group_capacity = 0
-
-    def as_tuple(self) -> Tuple[int, int, int, int, int, int, int]:
-        return (
-            self.batched_ticks,
-            self.retired_rows,
-            self.groups,
-            self.rows,
-            self.scalar_fallbacks,
-            self.cross_case_groups,
-            self.group_capacity,
-        )
-
-
-#: the process-wide counters used by all batching machinery.
-vector_stats = VectorStats()
 
 
 # ======================================================================
@@ -897,7 +858,7 @@ class BatchRunner:
     def __call__(self, index: int) -> Any:
         group = self._batchable(index)
         if group is None:
-            vector_stats.scalar_fallbacks += 1
+            COUNTERS["vec_scalar_fallbacks"] += 1
             return self._inner(index)
         outcomes = self._cache.get(group.gid)
         if outcomes is None:
@@ -912,7 +873,7 @@ class BatchRunner:
             self._served.pop(group.gid, None)
         if outcome is _RETIRED:
             return self._inner(index)
-        vector_stats.rows += 1
+        COUNTERS["vec_rows"] += 1
         return outcome
 
     # ------------------------------------------------------------------
@@ -951,17 +912,17 @@ class BatchRunner:
             wrapped = self._kernel.run_group(
                 dataclasses.replace(job, recover=True)
             )
-        vector_stats.groups += 1
-        vector_stats.group_capacity += self._width
+        COUNTERS["vec_groups"] += 1
+        COUNTERS["vec_group_capacity"] += self._width
         if len({row.case_id for row in rows}) > 1:
-            vector_stats.cross_case_groups += 1
+            COUNTERS["vec_cross_case_groups"] += 1
         outcomes: Dict[int, Any] = {}
         for row, index in enumerate(group.indices):
             retired = result.retired[row] or (
                 wrapped is not None and wrapped.retired[row]
             )
             if retired:
-                vector_stats.retired_rows += 1
+                COUNTERS["vec_retired_rows"] += 1
                 continue
             if self._kind == "permeability":
                 outcomes[index] = self._permeability_outcome(
@@ -1093,10 +1054,7 @@ def wrap_runner(
     0), numpy is unavailable, or no batch could be planned — the
     scalar path needs no wrapper to stay correct.
     """
-    width = 0
-    if config is not None:
-        vector = getattr(config, "vector", None)
-        width = getattr(vector, "batch_width", 0) if vector else 0
+    width = config.vector.batch_width if config is not None else 0
     if width <= 0 or np is None:
         return runner
     batched = BatchRunner(

@@ -20,6 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.fi._counters import COUNTERS
 from repro.fi.vector import (
     BankArrays,
     GroupJob,
@@ -30,7 +31,6 @@ from repro.fi.vector import (
     q_bool,
     q_int,
     q_uint,
-    vector_stats,
 )
 from repro.model.signal import SignalType
 from repro.target import constants as C
@@ -457,7 +457,7 @@ class ArrestmentVectorKernel:
             t += 1
 
         self._mem = None
-        vector_stats.batched_ticks += batched
+        COUNTERS["vec_batched_ticks"] += batched
 
         injected = first_inj >= 0
         failed = kinds | (completion < 0) if kinds is not None else None

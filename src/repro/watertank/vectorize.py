@@ -23,6 +23,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.fi._counters import COUNTERS
 from repro.fi.vector import (
     BankArrays,
     GroupJob,
@@ -33,7 +34,6 @@ from repro.fi.vector import (
     q_bool,
     q_int,
     q_uint,
-    vector_stats,
 )
 from repro.model.signal import SignalType
 from repro.watertank import constants as C
@@ -418,7 +418,7 @@ class WatertankVectorKernel:
                 )
 
         self._mem = None
-        vector_stats.batched_ticks += n * mission
+        COUNTERS["vec_batched_ticks"] += n * mission
 
         injected = first_inj >= 0
         return GroupResult(

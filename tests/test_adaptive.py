@@ -19,16 +19,21 @@ from repro.edm.catalogue import EA_BY_NAME
 from repro.errors import CampaignError
 from repro.fi import (
     SKIPPED,
+    AdaptivePolicy,
     AdaptiveSampler,
     AdaptiveStratum,
     CampaignConfig,
     CampaignExecutor,
+    CheckpointPolicy,
     DetectionCampaign,
+    FaultTolerancePolicy,
+    IntegrityPolicy,
     PermeabilityCampaign,
     StoppingRule,
     canonical_digest,
     stopping_rule_from,
 )
+from repro.fi.executor import VectorPolicy
 from repro.fi.serialization import (
     detection_to_dict,
     permeability_to_dict,
@@ -47,9 +52,17 @@ def two_cases(test_cases):
     return [test_cases[4], test_cases[20]]
 
 
-def _config(**kwargs):
-    kwargs.setdefault("retry_backoff_s", 0.0)
-    return CampaignConfig(**kwargs)
+def _config(fault_tolerance=None, **kwargs):
+    """A config without retry backoff (tests retry instantly)."""
+    return CampaignConfig(
+        fault_tolerance=fault_tolerance
+        or FaultTolerancePolicy(retry_backoff_s=0.0),
+        **kwargs,
+    )
+
+
+def _adaptive(**sampling):
+    return AdaptivePolicy(enabled=True, **sampling)
 
 
 # ======================================================================
@@ -85,10 +98,12 @@ class TestStoppingRule:
         assert StoppingRule().classify(0, 0) is None
 
     def test_config_off_switch(self):
-        assert stopping_rule_from(_config(ci_halfwidth=0.0)) is None
-        rule = stopping_rule_from(
-            _config(ci_level=0.9, ci_halfwidth=0.15, zero_threshold=0.2)
-        )
+        assert stopping_rule_from(
+            _config(sampling=AdaptivePolicy(ci_halfwidth=0.0))
+        ) is None
+        rule = stopping_rule_from(_config(sampling=AdaptivePolicy(
+            ci_level=0.9, ci_halfwidth=0.15, zero_threshold=0.2
+        )))
         assert rule is not None
         assert rule.level == 0.9
         assert rule.halfwidth == 0.15
@@ -96,13 +111,13 @@ class TestStoppingRule:
 
     def test_config_validation(self):
         with pytest.raises(CampaignError):
-            _config(ci_level=1.0)
+            AdaptivePolicy(ci_level=1.0)
         with pytest.raises(CampaignError):
-            _config(ci_halfwidth=1.0)
+            AdaptivePolicy(ci_halfwidth=1.0)
         with pytest.raises(CampaignError):
-            _config(min_batch=0)
+            AdaptivePolicy(min_batch=0)
         with pytest.raises(CampaignError):
-            _config(max_runs=0)
+            AdaptivePolicy(max_runs=0)
 
 
 # ======================================================================
@@ -214,33 +229,43 @@ class TestAdaptiveDeterminism:
         ).run()
         adaptive = PermeabilityCampaign(
             factory, two_cases, runs_per_input=8, seed=7,
-            config=_config(jobs=jobs, adaptive=True, ci_halfwidth=0.0),
+            config=_config(jobs=jobs, sampling=_adaptive(ci_halfwidth=0.0)),
         ).run()
         assert canonical_digest(
             permeability_to_dict(adaptive)
         ) == canonical_digest(permeability_to_dict(fixed))
 
-    def test_detection_disabled_stopping_matches_fixed_n(self, two_cases):
+    @pytest.mark.parametrize("batch_width", [0, 16])
+    def test_detection_disabled_stopping_matches_fixed_n(
+        self, two_cases, batch_width
+    ):
         specs = list(EA_BY_NAME.values())
+        vector = VectorPolicy(batch_width=batch_width)
 
         def run(config):
-            return DetectionCampaign(
+            campaign = DetectionCampaign(
                 factory, two_cases, specs,
                 runs_per_signal=6, targets=["ADC", "PACNT"], seed=7,
                 config=config,
-            ).run()
+            )
+            return campaign.run(), campaign.telemetry
 
-        fixed = run(_config())
-        adaptive = run(_config(adaptive=True, ci_halfwidth=0.0))
+        fixed, _ = run(_config(vector=vector))
+        adaptive, telemetry = run(_config(
+            vector=vector, sampling=_adaptive(ci_halfwidth=0.0)
+        ))
         assert canonical_digest(
             detection_to_dict(adaptive)
         ) == canonical_digest(detection_to_dict(fixed))
+        if batch_width:
+            # the adaptive rounds' vector counters reach the telemetry
+            assert telemetry.vec_rows > 0
 
     def test_adaptive_serial_parallel_identical(self, two_cases):
         def run(jobs):
             campaign = PermeabilityCampaign(
                 factory, two_cases, runs_per_input=8, seed=7,
-                config=_config(jobs=jobs, adaptive=True, min_batch=2),
+                config=_config(jobs=jobs, sampling=_adaptive(min_batch=2)),
             )
             return campaign.run(), campaign.stratum_reports
 
@@ -262,7 +287,7 @@ class TestAdaptiveSavings:
         ).run()
         campaign = PermeabilityCampaign(
             factory, two_cases, runs_per_input=16, seed=7,
-            config=_config(adaptive=True),
+            config=_config(sampling=_adaptive()),
         )
         adaptive = campaign.run()
 
@@ -285,7 +310,7 @@ class TestAdaptiveSavings:
     def test_max_runs_caps_budget(self, two_cases):
         campaign = PermeabilityCampaign(
             factory, two_cases, runs_per_input=16, seed=7,
-            config=_config(adaptive=True, max_runs=8),
+            config=_config(sampling=_adaptive(max_runs=8)),
         )
         campaign.run()
         assert all(r.budget == 8 for r in campaign.stratum_reports)
@@ -309,14 +334,18 @@ class TestAdaptiveResume:
                 config=config,
             )
 
-        clean_campaign = campaign(_config(adaptive=True))
+        clean_campaign = campaign(_config(sampling=_adaptive()))
         clean = clean_campaign.run()
 
         monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "5")
         path = str(tmp_path / "perm.json")
         crashed_campaign = campaign(_config(
-            adaptive=True, jobs=2, retries=2, pool_watchdog_s=2.0,
-            checkpoint_path=path, checkpoint_every=1,
+            jobs=2,
+            sampling=_adaptive(),
+            fault_tolerance=FaultTolerancePolicy(
+                retries=2, pool_watchdog_s=2.0, retry_backoff_s=0.0
+            ),
+            checkpoint=CheckpointPolicy(path=path, every=1),
         ))
         crashed = crashed_campaign.run()
         assert crashed_campaign.telemetry.pool_respawns >= 1
@@ -329,7 +358,7 @@ class TestAdaptiveResume:
         # reaches the identical estimates and decisions
         monkeypatch.delenv("REPRO_CHAOS_KILL_INDEX")
         resumed_campaign = campaign(_config(
-            adaptive=True, checkpoint_path=path,
+            sampling=_adaptive(), checkpoint=CheckpointPolicy(path=path),
         ))
         resumed = resumed_campaign.run()
         assert resumed.values == clean.values
@@ -350,7 +379,8 @@ class TestAdaptiveResume:
         full_campaign = PermeabilityCampaign(
             factory, two_cases, runs_per_input=8, seed=7,
             config=_config(
-                adaptive=True, checkpoint_path=path, checkpoint_every=1,
+                sampling=_adaptive(),
+                checkpoint=CheckpointPolicy(path=path, every=1),
             ),
         )
         full = full_campaign.run()
@@ -370,8 +400,11 @@ class TestAdaptiveResume:
         resumed_campaign = PermeabilityCampaign(
             factory, two_cases, runs_per_input=8, seed=7,
             config=_config(
-                adaptive=True, checkpoint_path=path, checkpoint_every=1,
-                integrity_policy="strict", audit_fraction=0.25,
+                sampling=_adaptive(),
+                checkpoint=CheckpointPolicy(path=path, every=1),
+                integrity=IntegrityPolicy(
+                    policy="strict", audit_fraction=0.25
+                ),
             ),
         )
         resumed = resumed_campaign.run()

@@ -156,9 +156,9 @@ class TestExperimentsCLI:
             "--audit-seed", "11", "--integrity-policy", "strict",
         ])
         config = context_from_args(args).campaign_config("detection")
-        assert config.audit_fraction == 0.25
-        assert config.audit_seed == 11
-        assert config.integrity_policy == "strict"
+        assert config.integrity.audit_fraction == 0.25
+        assert config.integrity.audit_seed == 11
+        assert config.integrity.policy == "strict"
 
     def test_bad_integrity_policy_rejected(self):
         with pytest.raises(SystemExit):

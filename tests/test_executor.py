@@ -16,13 +16,17 @@ from repro.errors import CampaignError
 from repro.fi import (
     CampaignConfig,
     CampaignExecutor,
+    CampaignTelemetry,
+    CheckpointPolicy,
     DetectionCampaign,
+    FaultTolerancePolicy,
     GoldenRunCache,
     MemoryCampaign,
     MemoryMap,
     PermeabilityCampaign,
     TaskFailure,
 )
+from repro.fi import _counters
 from repro.target.simulation import ArrestmentSimulator
 
 
@@ -52,7 +56,7 @@ class TestCampaignConfig:
         with pytest.raises(CampaignError):
             CampaignConfig(backend="threads")
         with pytest.raises(CampaignError):
-            CampaignConfig(checkpoint_every=0)
+            CheckpointPolicy(every=0)
 
 
 class TestExecutorMechanics:
@@ -78,7 +82,9 @@ class TestExecutorMechanics:
 
     def test_checkpoint_written_and_resumed(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        config = CampaignConfig(checkpoint_path=path, checkpoint_every=1)
+        config = CampaignConfig(
+            checkpoint=CheckpointPolicy(path=path, every=1)
+        )
         CampaignExecutor(config, campaign="unit").run_tasks(
             lambda i: i * 2, 6, "fp"
         )
@@ -106,7 +112,7 @@ class TestExecutorMechanics:
 
     def test_fingerprint_mismatch_discards_checkpoint(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        config = CampaignConfig(checkpoint_path=path)
+        config = CampaignConfig(checkpoint=CheckpointPolicy(path=path))
         CampaignExecutor(config, campaign="unit").run_tasks(
             lambda i: i, 4, "fp-a"
         )
@@ -162,7 +168,7 @@ class TestCampaignCheckpointing:
 
         fresh = campaign().run()
         campaign(
-            CampaignConfig(checkpoint_path=path, checkpoint_every=1)
+            CampaignConfig(checkpoint=CheckpointPolicy(path=path, every=1))
         ).run()
 
         # kill: keep only the first two completed tasks
@@ -174,7 +180,9 @@ class TestCampaignCheckpointing:
         with open(path, "w") as handle:
             json.dump(payload, handle)
 
-        resumed_campaign = campaign(CampaignConfig(checkpoint_path=path))
+        resumed_campaign = campaign(
+            CampaignConfig(checkpoint=CheckpointPolicy(path=path))
+        )
         resumed = resumed_campaign.run()
         assert resumed.records == fresh.records
         assert resumed_campaign.telemetry.resumed_runs == 2
@@ -221,15 +229,22 @@ class TestCampaignCheckpointing:
 # ======================================================================
 # Fault tolerance: retries, quarantine, timeouts, broken pools.
 # ======================================================================
+def _fast(**knobs):
+    """Fault-tolerance knobs with instant retries (no backoff)."""
+    return FaultTolerancePolicy(retry_backoff_s=0.0, **knobs)
+
+
 def _fast_config(**kwargs):
-    kwargs.setdefault("retry_backoff_s", 0.0)
+    kwargs.setdefault("fault_tolerance", _fast())
     return CampaignConfig(**kwargs)
 
 
 class TestCorruptedCheckpoints:
     def _executor(self, path, **kwargs):
         return CampaignExecutor(
-            _fast_config(checkpoint_path=str(path), **kwargs),
+            _fast_config(
+                checkpoint=CheckpointPolicy(path=str(path)), **kwargs
+            ),
             campaign="unit",
         )
 
@@ -288,7 +303,9 @@ class TestQuarantine:
                 raise ValueError("poison")
             return index
 
-        executor = CampaignExecutor(_fast_config(retries=1), campaign="unit")
+        executor = CampaignExecutor(
+            _fast_config(fault_tolerance=_fast(retries=1)), campaign="unit"
+        )
         results = executor.run_tasks(runner, 5, "fp")
         assert results[0] == 0 and results[4] == 4
         failure = results[2]
@@ -311,7 +328,9 @@ class TestQuarantine:
                 raise RuntimeError("transient")
             return index * 10
 
-        executor = CampaignExecutor(_fast_config(retries=2), campaign="unit")
+        executor = CampaignExecutor(
+            _fast_config(fault_tolerance=_fast(retries=2)), campaign="unit"
+        )
         assert executor.run_tasks(runner, 3, "fp") == [0, 10, 20]
         assert executor.telemetry.retries == 1
         assert executor.telemetry.failures == 0
@@ -324,7 +343,8 @@ class TestQuarantine:
             return index
 
         executor = CampaignExecutor(
-            _fast_config(task_timeout=0.2, retries=0), campaign="unit"
+            _fast_config(fault_tolerance=_fast(task_timeout=0.2, retries=0)),
+            campaign="unit",
         )
         results = executor.run_tasks(runner, 3, "fp")
         assert isinstance(results[1], TaskFailure)
@@ -373,7 +393,10 @@ class TestQuarantine:
                 raise ValueError("poison")
             return index
 
-        config = _fast_config(checkpoint_path=path, retries=0)
+        config = _fast_config(
+            checkpoint=CheckpointPolicy(path=path),
+            fault_tolerance=_fast(retries=0),
+        )
         CampaignExecutor(config, campaign="unit").run_tasks(runner, 4, "fp")
 
         executed = []
@@ -390,7 +413,9 @@ class TestQuarantine:
 
     def test_interrupt_flushes_checkpoint(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        config = _fast_config(checkpoint_path=path, checkpoint_every=100)
+        config = _fast_config(
+            checkpoint=CheckpointPolicy(path=path, every=100)
+        )
 
         def runner(index):
             if index == 3:
@@ -414,12 +439,13 @@ class TestBackendReporting:
 
     def test_resumed_workload_reports_serial(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        config = CampaignConfig(checkpoint_path=path)
+        config = CampaignConfig(checkpoint=CheckpointPolicy(path=path))
         CampaignExecutor(config, campaign="unit").run_tasks(
             lambda i: i, 4, "fp"
         )
         resumed = CampaignExecutor(
-            CampaignConfig(jobs=4, checkpoint_path=path), campaign="unit"
+            CampaignConfig(jobs=4, checkpoint=CheckpointPolicy(path=path)),
+            campaign="unit",
         )
         resumed.run_tasks(lambda i: i, 4, "fp")
         assert resumed.telemetry.backend == "serial"
@@ -452,8 +478,9 @@ class TestWorkerCrash:
         monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "3")
         path = str(tmp_path / "cp.json")
         config = _fast_config(
-            jobs=2, retries=2, pool_watchdog_s=1.5,
-            checkpoint_path=path, checkpoint_every=1,
+            jobs=2,
+            fault_tolerance=_fast(retries=2, pool_watchdog_s=1.5),
+            checkpoint=CheckpointPolicy(path=path, every=1),
         )
         executor = CampaignExecutor(config, campaign="unit")
         results = executor.run_tasks(lambda i: i * 2, 8, "fp")
@@ -469,7 +496,10 @@ class TestWorkerCrash:
     def test_degrades_to_serial_when_pool_unrebuildable(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "2")
         config = _fast_config(
-            jobs=2, retries=2, pool_watchdog_s=1.5, max_pool_respawns=0
+            jobs=2,
+            fault_tolerance=_fast(
+                retries=2, pool_watchdog_s=1.5, max_pool_respawns=0
+            ),
         )
         executor = CampaignExecutor(config, campaign="unit")
         assert executor.run_tasks(lambda i: i + 1, 6, "fp") == list(
@@ -496,8 +526,9 @@ class TestWorkerCrash:
         monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "1")
         path = str(tmp_path / "memory.json")
         crashed = campaign(_fast_config(
-            jobs=2, retries=2, pool_watchdog_s=2.0,
-            checkpoint_path=path, checkpoint_every=1,
+            jobs=2,
+            fault_tolerance=_fast(retries=2, pool_watchdog_s=2.0),
+            checkpoint=CheckpointPolicy(path=path, every=1),
         ))
         first = crashed.run()
         assert crashed.telemetry.pool_respawns >= 1
@@ -505,7 +536,9 @@ class TestWorkerCrash:
         assert first.task_failures == []
 
         monkeypatch.delenv("REPRO_CHAOS_KILL_INDEX")
-        resumed_campaign = campaign(_fast_config(checkpoint_path=path))
+        resumed_campaign = campaign(
+            _fast_config(checkpoint=CheckpointPolicy(path=path))
+        )
         resumed = resumed_campaign.run()
         assert resumed.records == clean.records
         assert resumed_campaign.telemetry.executed_runs == 0
@@ -518,7 +551,7 @@ class TestCampaignQuarantineAccounting:
         monkeypatch.setenv("REPRO_CHAOS_FAIL_INDEX", "0")
         faulty = PermeabilityCampaign(
             factory, two_cases, runs_per_input=2, seed=7,
-            config=_fast_config(retries=0),
+            config=_fast_config(fault_tolerance=_fast(retries=0)),
         )
         estimate = faulty.run()
         assert len(estimate.task_failures) == 1
@@ -536,7 +569,7 @@ class TestCampaignQuarantineAccounting:
 
         clean = run()
         monkeypatch.setenv("REPRO_CHAOS_FAIL_INDEX", "1")
-        faulty = run(_fast_config(retries=0))
+        faulty = run(_fast_config(fault_tolerance=_fast(retries=0)))
         assert len(faulty.task_failures) == 1
         assert faulty.n_injected["ADC"] == clean.n_injected["ADC"] - 1
 
@@ -551,8 +584,11 @@ class TestEventLog:
             return index
 
         config = _fast_config(
-            retries=1, event_log_path=log,
-            checkpoint_path=str(tmp_path / "cp.json"), checkpoint_every=1,
+            event_log_path=log,
+            fault_tolerance=_fast(retries=1),
+            checkpoint=CheckpointPolicy(
+                path=str(tmp_path / "cp.json"), every=1
+            ),
         )
         CampaignExecutor(config, campaign="unit").run_tasks(runner, 3, "fp")
         with open(log) as handle:
@@ -575,6 +611,31 @@ class TestEventLog:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestCounters:
+    def test_every_counter_feeds_an_int_telemetry_field(self):
+        telemetry = CampaignTelemetry(
+            campaign="unit", backend="serial", jobs=1
+        )
+        for name in _counters.COUNTERS:
+            assert type(getattr(telemetry, name, None)) is int, name
+
+    def test_failed_pool_attempts_keep_their_counts(self):
+        def runner(index):
+            _counters.COUNTERS["ff_restores"] += 1
+            if index == 1:
+                raise RuntimeError("boom")
+            return index
+
+        executor = CampaignExecutor(
+            _fast_config(jobs=2, fault_tolerance=_fast(retries=1)),
+            campaign="unit",
+        )
+        results = executor.run_tasks(runner, 4, "fp")
+        assert isinstance(results[1], TaskFailure)
+        # four tasks plus the failing task's retry, each counted once
+        assert executor.telemetry.ff_restores == 5
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"task_timeout": 0.0},
@@ -586,7 +647,7 @@ class TestConfigValidation:
     ])
     def test_rejects_bad_fault_tolerance_knobs(self, kwargs):
         with pytest.raises(CampaignError):
-            CampaignConfig(**kwargs)
+            FaultTolerancePolicy(**kwargs)
 
 
 class TestGoldenCacheEviction:

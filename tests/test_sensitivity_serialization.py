@@ -8,13 +8,12 @@ from repro.errors import AnalysisError, CampaignError
 from repro.fi.serialization import (
     detection_from_dict,
     detection_to_dict,
-    load_json,
     memory_from_dict,
     memory_to_dict,
     permeability_from_dict,
     permeability_to_dict,
-    save_json,
 )
+from repro.fi.store import JsonCheckpointStore
 
 
 class TestSensitivity:
@@ -113,8 +112,9 @@ class TestSerialization:
 
     def test_file_roundtrip(self, ctx, tmp_path):
         estimate = ctx.permeability_estimate()
-        path = save_json(estimate, tmp_path / "perm.json")
-        restored = load_json(path)
+        store = JsonCheckpointStore(str(tmp_path / "perm.json"))
+        store.save_result(estimate)
+        restored = store.load_result()
         assert restored.values == estimate.values
 
     def test_kind_mismatch_rejected(self, ctx):
@@ -132,7 +132,7 @@ class TestSerialization:
         path = tmp_path / "bogus.json"
         path.write_text('{"format_version": 1, "kind": "bogus"}')
         with pytest.raises(CampaignError, match="unknown kind"):
-            load_json(path)
+            JsonCheckpointStore(str(path)).load_result()
 
 
 class TestLatency:

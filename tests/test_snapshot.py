@@ -14,9 +14,12 @@ import pytest
 from repro.edm.catalogue import EA_BY_NAME
 from repro.errors import CampaignError
 from repro.fi import (
+    DEFAULT_CHECKPOINT_STRIDE,
     CampaignConfig,
+    CheckpointPolicy,
     CheckpointStore,
     DetectionCampaign,
+    FastForwardPolicy,
     FaultInjector,
     InputSignalFlip,
     InvocationLog,
@@ -320,8 +323,14 @@ class TestCheckpointStore:
 # Campaign-level A/B: fast-forward on vs off (the tentpole contract).
 # ======================================================================
 class TestCampaignFastForwardAB:
-    def config(self, ff, **kwargs):
-        return CampaignConfig(seed=7, fast_forward=ff, **kwargs)
+    def config(self, ff, stride=DEFAULT_CHECKPOINT_STRIDE, **kwargs):
+        return CampaignConfig(
+            seed=7,
+            fastforward=FastForwardPolicy(
+                enabled=ff, checkpoint_stride=stride
+            ),
+            **kwargs,
+        )
 
     def test_detection_bit_identical(self, two_cases):
         specs = list(EA_BY_NAME.values())
@@ -431,7 +440,7 @@ class TestCampaignFastForwardAB:
 
         baseline = run()
         for stride in (64, 500, 4096):
-            got = run(checkpoint_stride=stride)
+            got = run(stride=stride)
             assert got.detections == baseline.detections
             assert got.run_records == baseline.run_records
             assert got.run_latencies == baseline.run_latencies
@@ -451,7 +460,7 @@ class TestCampaignFastForwardAB:
 
         fresh = campaign(True).run()
         campaign(
-            False, checkpoint_path=path, checkpoint_every=1
+            False, checkpoint=CheckpointPolicy(path=path, every=1)
         ).run()
 
         # kill: keep only the first four completed tasks
@@ -464,7 +473,7 @@ class TestCampaignFastForwardAB:
             json.dump(payload, handle)
 
         resumed_campaign = campaign(
-            True, checkpoint_path=path, jobs=2
+            True, checkpoint=CheckpointPolicy(path=path), jobs=2
         )
         resumed = resumed_campaign.run()
         assert resumed.detections == fresh.detections
@@ -534,11 +543,14 @@ class TestTrackPool:
     def test_campaign_bit_identical_pool_on_off(self, two_cases):
         specs = list(EA_BY_NAME.values())
 
-        def run(**kwargs):
+        def run(track_pool):
             campaign = DetectionCampaign(
                 factory, two_cases, specs,
                 runs_per_signal=3, targets=["ADC", "TCNT"],
-                config=CampaignConfig(seed=7, **kwargs),
+                config=CampaignConfig(
+                    seed=7,
+                    fastforward=FastForwardPolicy(track_pool=track_pool),
+                ),
             )
             result = campaign.run()
             return (
@@ -567,7 +579,9 @@ class TestTrackPool:
     def test_policy_flag_disables_pool(self, test_cases):
         from repro.fi.snapshot import FastForward
 
-        config = CampaignConfig(track_pool=False)
+        config = CampaignConfig(
+            fastforward=FastForwardPolicy(track_pool=False)
+        )
         engine = FastForward(factory, "arrestment", config=config)
         assert not engine.track_pool_enabled
 
@@ -588,7 +602,7 @@ class TestTrackPool:
 class TestConfigKnobs:
     def test_stride_validation(self):
         with pytest.raises(CampaignError):
-            CampaignConfig(checkpoint_stride=0)
+            FastForwardPolicy(checkpoint_stride=0)
 
     def test_context_threads_the_knobs(self):
         from repro.experiments.context import ExperimentContext
@@ -598,8 +612,8 @@ class TestConfigKnobs:
             track_pool=False,
         )
         config = ctx.campaign_config("detection")
-        assert config.fast_forward is False
-        assert config.checkpoint_stride == 512
+        assert config.fastforward.enabled is False
+        assert config.fastforward.checkpoint_stride == 512
         assert config.fastforward.track_pool is False
 
     def test_cli_flags_reach_the_context(self):

@@ -8,6 +8,7 @@ backend under the ``slow`` marker).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,9 +18,10 @@ from repro.fi.campaign import (
     PermeabilityCampaign,
     RecoveryCampaign,
 )
-from repro.fi.executor import CampaignConfig
+from repro.fi import _counters
+from repro.fi.executor import CampaignConfig, VectorPolicy
 from repro.fi.memory import MemoryMap
-from repro.fi.vector import BatchRunner, vector_stats, wrap_runner
+from repro.fi.vector import BatchRunner, wrap_runner
 from repro.edm.catalogue import EA_BY_NAME
 from repro.target.simulation import ArrestmentSimulator
 from repro.target.testcases import standard_test_cases
@@ -47,9 +49,13 @@ def arrestment_cases():
     return [cases[4], cases[20]]
 
 
+def _batched(width, **kwargs):
+    return CampaignConfig(vector=VectorPolicy(batch_width=width), **kwargs)
+
+
 def batch_vs_scalar(kind, campaign, tasks, width=16, **kwargs):
     """Outcomes of a BatchRunner over *tasks* next to the scalar
-    reference, plus the vector-stats delta of the batched pass."""
+    reference, plus the counter delta of the batched pass."""
 
     def scalar(index):
         return campaign._one_run(*tasks[index])
@@ -58,14 +64,12 @@ def batch_vs_scalar(kind, campaign, tasks, width=16, **kwargs):
         kind, tasks, scalar, width, campaign.factory, **kwargs
     )
     assert runner._kernel is not None, "kernel refused the target"
-    before = vector_stats.as_tuple()
+    before = dict(_counters.COUNTERS)
     try:
         batched = [runner(i) for i in range(len(tasks))]
     finally:
         runner.close()
-    delta = tuple(
-        after - b for b, after in zip(before, vector_stats.as_tuple())
-    )
+    delta = Counter(_counters.since(before))
     reference = [scalar(i) for i in range(len(tasks))]
     return batched, reference, delta
 
@@ -107,7 +111,7 @@ class TestWatertankKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta[3] == len(tasks)  # every row answered by a batch
+        assert delta["vec_rows"] == len(tasks)  # every row answered by a batch
 
     def test_timer_divergence_retires_to_scalar(self, tank_cases):
         """A tick-0 flip of the dispatch slot leaves the golden
@@ -125,8 +129,9 @@ class TestWatertankKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta[1] == len(tasks)  # all rows dispatch-diverged
-        assert delta[3] == 0
+        # all rows dispatch-diverged
+        assert delta["vec_retired_rows"] == len(tasks)
+        assert delta["vec_rows"] == 0
 
     def test_detection_rows_match_scalar(self, tank_cases):
         specs = tank_assertions()
@@ -143,7 +148,7 @@ class TestWatertankKernel:
             "detection", campaign, tasks, specs=specs
         )
         assert batched == reference
-        assert delta[3] == len(tasks)
+        assert delta["vec_rows"] == len(tasks)
 
     def test_memory_rows_match_scalar(self, tank_cases):
         specs = tank_assertions()
@@ -156,7 +161,7 @@ class TestWatertankKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[3] > 0  # some rows really ran batched
+        assert delta["vec_rows"] > 0  # some rows really ran batched
 
     def test_memory_cross_case_group(self, tank_cases):
         """Two cases sharing one (location, bit, phase) land in the
@@ -176,9 +181,10 @@ class TestWatertankKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[2] == 1  # one group for both cases
-        assert delta[5] == 1  # counted as cross-case
-        assert delta[6] == 16  # one group's slots at width 16
+        assert delta["vec_groups"] == 1  # one group for both cases
+        assert delta["vec_cross_case_groups"] == 1  # counted as cross-case
+        # one group's slots at width 16
+        assert delta["vec_group_capacity"] == 16
 
     def test_recovery_rows_match_scalar(self, tank_cases):
         specs = tank_assertions()
@@ -192,7 +198,7 @@ class TestWatertankKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[3] > 0
+        assert delta["vec_rows"] > 0
 
 
 class TestArrestmentKernel:
@@ -214,7 +220,7 @@ class TestArrestmentKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta[3] == len(tasks)
+        assert delta["vec_rows"] == len(tasks)
 
     def test_clock_divergence_retires_to_scalar(self, arrestment_cases):
         campaign = PermeabilityCampaign(
@@ -228,7 +234,7 @@ class TestArrestmentKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta[1] == len(tasks)
+        assert delta["vec_retired_rows"] == len(tasks)
 
     def test_detection_rows_match_scalar(self, arrestment_cases):
         specs = list(EA_BY_NAME.values())
@@ -246,7 +252,7 @@ class TestArrestmentKernel:
             "detection", campaign, tasks, specs=specs
         )
         assert batched == reference
-        assert delta[3] == len(tasks)
+        assert delta["vec_rows"] == len(tasks)
 
     def test_memory_rows_match_scalar(self, arrestment_cases):
         specs = list(EA_BY_NAME.values())
@@ -259,7 +265,7 @@ class TestArrestmentKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[3] > 0
+        assert delta["vec_rows"] > 0
 
     def test_memory_dispatch_chain_rows_stay_batched(self, arrestment_cases):
         """Memory flips on the dispatch chain — CLOCK's slot-successor
@@ -293,8 +299,10 @@ class TestArrestmentKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[1] == 0  # no dispatch-divergence retirements
-        assert delta[3] == len(tasks)  # every row answered by the batch
+        # no dispatch-divergence retirements
+        assert delta["vec_retired_rows"] == 0
+        # every row answered by the batch
+        assert delta["vec_rows"] == len(tasks)
 
     def test_recovery_rows_match_scalar(self, arrestment_cases):
         specs = list(EA_BY_NAME.values())
@@ -308,7 +316,7 @@ class TestArrestmentKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[3] > 0
+        assert delta["vec_rows"] > 0
 
 
 class TestCampaignAB:
@@ -322,7 +330,7 @@ class TestCampaignAB:
             ).run()
             return estimate.direct_counts, estimate.active_runs
 
-        assert run(None) == run(CampaignConfig(batch_width=32))
+        assert run(None) == run(_batched(32))
 
     def test_tank_detection_identical(self, tank_cases):
         def run(config):
@@ -335,7 +343,7 @@ class TestCampaignAB:
                 result.run_records, result.run_latencies,
             )
 
-        assert run(None) == run(CampaignConfig(batch_width=32))
+        assert run(None) == run(_batched(32))
 
     def test_tank_memory_identical(self, tank_cases):
         def run(config):
@@ -348,7 +356,7 @@ class TestCampaignAB:
                 for r in result.records
             ]
 
-        assert run(None) == run(CampaignConfig(batch_width=32))
+        assert run(None) == run(_batched(32))
 
     def test_tank_recovery_identical(self, tank_cases):
         def run(config):
@@ -365,13 +373,13 @@ class TestCampaignAB:
                 for o in result.outcomes
             ]
 
-        assert run(None) == run(CampaignConfig(batch_width=32))
+        assert run(None) == run(_batched(32))
 
     def test_telemetry_counts_batched_rows(self, tank_cases):
         campaign = DetectionCampaign(
             tank_factory, tank_cases, tank_assertions(),
             runs_per_signal=8, seed=11,
-            config=CampaignConfig(batch_width=32),
+            config=_batched(32),
         )
         campaign.run()
         telemetry = campaign.telemetry
@@ -385,7 +393,7 @@ class TestCampaignAB:
         group counts reach the telemetry line and run-event log."""
         campaign = MemoryCampaign(
             tank_factory, tank_cases, tank_assertions(),
-            seed=11, config=CampaignConfig(batch_width=32),
+            seed=11, config=_batched(32),
         )
         campaign.run()
         telemetry = campaign.telemetry
@@ -404,9 +412,7 @@ class TestCampaignAB:
         log = tmp_path / "events.jsonl"
         MemoryCampaign(
             tank_factory, tank_cases, tank_assertions(), seed=11,
-            config=CampaignConfig(
-                batch_width=32, event_log_path=str(log)
-            ),
+            config=_batched(32, event_log_path=str(log)),
         ).run()
         events = [
             json.loads(line) for line in log.read_text().splitlines()
@@ -448,9 +454,7 @@ class TestCampaignABProcess:
                 arrestment_factory, arrestment_cases,
                 list(EA_BY_NAME.values()),
                 runs_per_signal=6, seed=11,
-                config=CampaignConfig(
-                    backend="process", jobs=2, batch_width=batch_width
-                ),
+                config=_batched(batch_width, backend="process", jobs=2),
             ).run()
             return (
                 result.n_injected, result.n_err, result.detections,
@@ -463,9 +467,7 @@ class TestCampaignABProcess:
         def run(batch_width):
             estimate = PermeabilityCampaign(
                 tank_factory, tank_cases, runs_per_input=4, seed=11,
-                config=CampaignConfig(
-                    backend="process", jobs=2, batch_width=batch_width
-                ),
+                config=_batched(batch_width, backend="process", jobs=2),
             ).run()
             return estimate.direct_counts, estimate.active_runs
 
@@ -475,9 +477,7 @@ class TestCampaignABProcess:
         def run(batch_width):
             result = MemoryCampaign(
                 tank_factory, tank_cases, tank_assertions(), seed=11,
-                config=CampaignConfig(
-                    backend="process", jobs=2, batch_width=batch_width
-                ),
+                config=_batched(batch_width, backend="process", jobs=2),
             ).run()
             return [
                 (r.region, r.location_label, r.fired, r.failed)
@@ -491,9 +491,7 @@ class TestCampaignABProcess:
             result = RecoveryCampaign(
                 arrestment_factory, arrestment_cases,
                 list(EA_BY_NAME.values()), seed=11,
-                config=CampaignConfig(
-                    backend="process", jobs=2, batch_width=batch_width
-                ),
+                config=_batched(batch_width, backend="process", jobs=2),
             ).run()
             return [
                 (
