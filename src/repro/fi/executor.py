@@ -116,6 +116,7 @@ from typing import (
 from repro.errors import CampaignError, IntegrityError
 from repro.fi.golden import GoldenRun, GoldenRunStore
 from repro.fi._counters import COUNTERS, since
+from repro.fi.chaos import ChaosPlan
 from repro.fi.integrity import POLICIES, IntegrityViolation, drain_violations
 from repro.fi.snapshot import DEFAULT_CHECKPOINT_STRIDE
 from repro.fi.store import STORE_BACKENDS, ResultStore, open_store
@@ -194,12 +195,8 @@ class FaultTolerancePolicy:
     task_timeout: Optional[float] = None
     #: extra attempts per task before quarantine (total = retries + 1).
     retries: int = 1
-    #: base of the retry backoff between attempts, in seconds.
+    #: base of the decorrelated-jitter retry backoff, in seconds.
     retry_backoff_s: float = 0.25
-    #: decorrelate the retry backoff with seeded jitter so concurrent
-    #: campaigns (and their workers) do not stampede in lockstep;
-    #: ``False`` restores the legacy deterministic exponential ramp.
-    retry_jitter: bool = True
     #: seed of the backoff jitter stream; ``None`` uses the campaign
     #: seed, so test runs stay reproducible.
     backoff_seed: Optional[int] = None
@@ -243,7 +240,7 @@ class FastForwardPolicy:
     checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE
     #: flatten golden tracks into shared-memory columns pre-fork and
     #: restore checkpoints out of the shared segments (bit-identical
-    #: either way; also killable via ``REPRO_NO_TRACK_POOL=1``).
+    #: either way).
     track_pool: bool = True
 
     def __post_init__(self) -> None:
@@ -937,8 +934,8 @@ class _ActiveCampaign:
 
     runner: Callable[[int], Any]
     timeout: Optional[float] = None
-    #: (fail_index, kill_index) chaos hooks; see ``_chaos_from_env``.
-    chaos: Tuple[Optional[int], Optional[int]] = (None, None)
+    #: the chaos hooks armed when the campaign started.
+    chaos: ChaosPlan = ChaosPlan()
     #: the drift sentinel published before the pool forks: a callable
     #: computing a fresh golden-run digest, and the parent's digest.
     sentinel: Optional[Tuple[Callable[[], str], str]] = None
@@ -951,31 +948,6 @@ _ACTIVE_SEQ = itertools.count(1)
 
 class _TaskTimeout(Exception):
     """Raised inside a task when its wall-clock budget expires."""
-
-
-def _chaos_from_env() -> Tuple[Optional[int], Optional[int]]:
-    """Test-only fault hooks, read from the environment.
-
-    ``REPRO_CHAOS_FAIL_INDEX=N`` makes the first attempt of task N
-    raise; ``REPRO_CHAOS_KILL_INDEX=N`` makes the first attempt of
-    task N hard-kill its worker process (process backend only).  Used
-    by the chaos tests and the CI chaos step to exercise the
-    retry/quarantine/respawn machinery against a real campaign.
-    """
-
-    def _index(name: str) -> Optional[int]:
-        value = os.environ.get(name)
-        if value is None:
-            return None
-        try:
-            return int(value)
-        except ValueError:
-            return None
-
-    return (
-        _index("REPRO_CHAOS_FAIL_INDEX"),
-        _index("REPRO_CHAOS_KILL_INDEX"),
-    )
 
 
 @contextmanager
@@ -1036,14 +1008,14 @@ def _sentinel_probe(item: Tuple[str, int]) -> str:
 
     Dispatched to a new pool before any real task.  The digest is
     computed from scratch (no caches), so it reflects what *this*
-    worker's arithmetic and code actually produce.
-    ``REPRO_CHAOS_DRIFT_WORKER=1`` deliberately corrupts the probe —
-    in forked children only — to exercise the broken-pool path.
+    worker's arithmetic and code actually produce.  The drift-worker
+    chaos hook deliberately corrupts the probe — in forked children
+    only — to exercise the broken-pool path.
     """
     key, _ = item
     compute, _ = _ACTIVE[key].sentinel  # type: ignore[union-attr]
     digest = compute()
-    if os.environ.get("REPRO_CHAOS_DRIFT_WORKER") == "1":
+    if _ACTIVE[key].chaos.drift_worker:
         digest = f"chaos-drift-{digest[:8]}"
     return digest
 
@@ -1053,7 +1025,6 @@ def _execute_attempt(
 ) -> Tuple[int, Dict, float]:
     """One attempt of one task; errors become in-band payloads."""
     started = time.perf_counter()
-    fail_index, _ = active.chaos
     counters_before = dict(COUNTERS)
     # a batched runner answers a whole group of runs from the first
     # task that touches it, so that attempt gets the group's worth of
@@ -1063,7 +1034,7 @@ def _execute_attempt(
     if timeout is not None and scale_of is not None:
         timeout = timeout * max(1, scale_of(index))
     try:
-        if fail_index is not None and index == fail_index and attempt == 1:
+        if index == active.chaos.fail_index and attempt == 1:
             raise RuntimeError(f"chaos: injected failure at task {index}")
         with _task_alarm(timeout):
             result = active.runner(index)
@@ -1094,8 +1065,7 @@ def _execute_attempt(
 def _pool_task(key: str, item: Tuple[int, int]) -> Tuple[int, Dict, float]:
     index, attempt = item
     active = _ACTIVE[key]
-    _, kill_index = active.chaos
-    if kill_index is not None and index == kill_index and attempt == 1:
+    if index == active.chaos.kill_index and attempt == 1:
         os._exit(17)  # simulate a hard worker death (chaos testing)
     return _execute_attempt(active, index, attempt)
 
@@ -1113,14 +1083,6 @@ def _pool_chunk(
     """
     key, items = work
     return [_pool_task(key, item) for item in items]
-
-
-def _backoff_s(config: CampaignConfig, attempt: int) -> float:
-    """Exponential backoff before the given (>= 2nd) attempt."""
-    base = config.fault_tolerance.retry_backoff_s
-    if attempt <= 1 or base <= 0:
-        return 0.0
-    return min(base * (2 ** (attempt - 2)), MAX_BACKOFF_S)
 
 
 def decorrelated_backoff(
@@ -1253,6 +1215,7 @@ class CampaignExecutor:
         """
         config = self.config
         ft = config.fault_tolerance
+        chaos = ChaosPlan.from_env(os.environ)
         self.violations = []
         store = self.store
         checkpointing = store is not None
@@ -1440,19 +1403,13 @@ class CampaignExecutor:
         )
         backoff_prev = ft.retry_backoff_s
 
-        def backoff_sleep(attempt: int) -> None:
-            """Sleep before a (>= 2nd) retry attempt.
+        def backoff_sleep() -> None:
+            """Sleep before a retry attempt.
 
-            Jittered retries draw from the decorrelated recurrence so
-            campaigns retrying concurrently spread out; with jitter
-            off the legacy deterministic exponential ramp applies.
+            Retries draw from the decorrelated recurrence so campaigns
+            retrying concurrently spread out.
             """
             nonlocal backoff_prev
-            if attempt <= 1:
-                return
-            if not ft.retry_jitter:
-                time.sleep(_backoff_s(config, attempt))
-                return
             sleep_s = decorrelated_backoff(
                 ft.retry_backoff_s, backoff_prev, backoff_rng
             )
@@ -1469,7 +1426,7 @@ class CampaignExecutor:
                         events.emit(
                             "task_retry", index=index, attempt=attempt
                         )
-                        backoff_sleep(attempt)
+                        backoff_sleep()
                     events.emit("task_start", index=index, attempt=attempt)
                     _, payload, busy = _execute_attempt(
                         active, index, attempt
@@ -1579,10 +1536,9 @@ class CampaignExecutor:
                         if not replace_pool(unhealthy):
                             return
                         continue
-                    wave_attempt = 1
+                    retries_before = telemetry.retries
                     for index in remaining:
                         attempts[index] += 1
-                        wave_attempt = max(wave_attempt, attempts[index])
                         if attempts[index] > 1:
                             telemetry.retries += 1
                             events.emit(
@@ -1590,8 +1546,8 @@ class CampaignExecutor:
                                 index=index,
                                 attempt=attempts[index],
                             )
-                    if wave_attempt > 1:
-                        backoff_sleep(wave_attempt)
+                    if telemetry.retries > retries_before:
+                        backoff_sleep()
                     items = [(i, attempts[i]) for i in remaining]
                     plan = getattr(runner, "chunk_plan", None)
                     if plan is not None:
@@ -1671,7 +1627,7 @@ class CampaignExecutor:
         active = _ActiveCampaign(
             runner=runner,
             timeout=ft.task_timeout,
-            chaos=_chaos_from_env(),
+            chaos=chaos,
         )
         if (
             backend == "process"

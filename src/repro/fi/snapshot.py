@@ -63,6 +63,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.edm.monitors import MonitorBank
 from repro.errors import CampaignError
 from repro.fi._counters import COUNTERS
+from repro.fi.chaos import ChaosPlan
 from repro.fi.shm import ShmArrayPack, shm_available
 from repro.target.simulation import SignalTraces, SimulatorState
 
@@ -75,10 +76,6 @@ __all__ = [
     "TrackPool",
     "checkpoint_cache",
 ]
-
-#: environment kill-switch for the shared-memory checkpoint pool
-#: (mirrors the ``track_pool`` policy flag; either disables it).
-_NO_TRACK_POOL_ENV = "REPRO_NO_TRACK_POOL"
 
 #: default distance between golden checkpoints, in ticks.  Denser
 #: strides shorten the simulated remainder per injected run (less
@@ -626,39 +623,6 @@ def _noop_arm(injector) -> None:
     return None
 
 
-#: restores seen by this process, for the targeted chaos hook below.
-_restore_count = 0
-
-
-def _chaos_corrupt_restore(simulator) -> None:
-    """Test-only silent-corruption hook for the integrity layer.
-
-    ``REPRO_CHAOS_CORRUPT_FF_RESTORE=all`` perturbs the signal store
-    after *every* checkpoint restore; ``=N`` perturbs only the Nth
-    restore of this process (0-based).  The perturbation — a +1 bump
-    of every store cell — models a stale or bit-rotted snapshot: the
-    restored run silently diverges from a true full replay, which is
-    exactly the failure mode the sampled audit replay must catch.
-    Full replays (fast-forward off) never restore, so they stay clean
-    and remain the trusted reference.
-    """
-    global _restore_count
-    value = os.environ.get("REPRO_CHAOS_CORRUPT_FF_RESTORE")
-    if not value:
-        return
-    nth = _restore_count
-    _restore_count += 1
-    if value != "all":
-        try:
-            if nth != int(value):
-                return
-        except ValueError:
-            return
-    store = simulator.executor.store
-    for signal, current in sorted(store.snapshot().items()):
-        store.poke(signal, current + 1)
-
-
 class FastForward:
     """One campaign's handle on the fast-forward machinery.
 
@@ -686,6 +650,7 @@ class FastForward:
         resync: bool = True,
         store: Optional[CheckpointStore] = None,
     ):
+        self._chaos = ChaosPlan.from_env(os.environ)
         self.factory = factory
         self.target = target
         self.bank_specs = list(bank_specs) if bank_specs is not None else None
@@ -699,7 +664,6 @@ class FastForward:
         self.track_pool_enabled = (
             self.enabled
             and (policy.track_pool if policy else True)
-            and not os.environ.get(_NO_TRACK_POOL_ENV)
             and shm_available()
         )
         self._pool: Optional[TrackPool] = (
@@ -753,7 +717,15 @@ class FastForward:
         simulator.record_traces = False
         if checkpoint.tick:
             simulator.restore_state(checkpoint, restore_traces=False)
-            _chaos_corrupt_restore(simulator)
+            if self._chaos.fires("corrupt_restore"):
+                # a +1 bump of every store cell models a stale or
+                # bit-rotted snapshot: the run silently diverges from a
+                # true full replay, the failure the sampled audit
+                # replay must catch (full replays never restore, so
+                # they stay the trusted reference)
+                store = simulator.executor.store
+                for signal, current in sorted(store.snapshot().items()):
+                    store.poke(signal, current + 1)
             COUNTERS["ff_restores"] += 1
             COUNTERS["ff_ticks_saved"] += checkpoint.tick
         bank = self._fresh_bank(simulator)

@@ -64,6 +64,7 @@ from typing import (
 )
 
 from repro.errors import CampaignError, IntegrityError
+from repro.fi.chaos import ChaosPlan
 from repro.fi.integrity import IntegrityViolation, canonical_digest
 
 __all__ = [
@@ -95,34 +96,6 @@ _VIOLATION_CALLBACK = Callable[[IntegrityViolation], None]
 #: (concurrent campaigns sharing one results database).
 _BUSY_RETRIES = 5
 _BUSY_BACKOFF_S = 0.05
-
-#: flushes started by this process, counted only while the
-#: ``REPRO_CHAOS_KILL_FLUSH`` chaos hook is armed.
-_CHAOS_FLUSH_N = 0
-
-
-def _chaos_kill_flush() -> None:
-    """Simulated ``kill -9`` at a flush's most vulnerable point.
-
-    ``REPRO_CHAOS_KILL_FLUSH=<n>`` hard-exits the process during this
-    process's *n*-th flush — after the new bytes are staged (temp file
-    written / rows inserted) but before they become durable (rename /
-    commit).  A crash in this window must leave the previously
-    persisted state intact and loadable; the recovery tests and the
-    service chaos job drive exactly that.
-    """
-    target = os.environ.get("REPRO_CHAOS_KILL_FLUSH")
-    if not target:
-        return
-    try:
-        nth = int(target)
-    except ValueError:
-        return
-    global _CHAOS_FLUSH_N
-    _CHAOS_FLUSH_N += 1
-    if _CHAOS_FLUSH_N == nth:
-        os._exit(137)
-
 
 def backend_for_path(path: str, backend: Optional[str] = None) -> str:
     """Resolve a store backend name for *path*.
@@ -222,6 +195,12 @@ class ResultStore(ABC):
     def __init__(self, path: str) -> None:
         self.path = str(path)
         self.stats = StoreStats()
+        #: the kill-flush chaos hook is a simulated ``kill -9`` at a
+        #: flush's most vulnerable point: after the new bytes are staged
+        #: (temp file written / rows inserted), before they are durable
+        #: (rename / commit).  The previously persisted state must
+        #: survive it intact and loadable.
+        self._chaos = ChaosPlan.from_env(os.environ)
 
     # -- checkpoint side ------------------------------------------------
     @abstractmethod
@@ -505,7 +484,8 @@ class JsonCheckpointStore(ResultStore):
         os.makedirs(directory, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
-        _chaos_kill_flush()  # die after the temp write, before the rename
+        if self._chaos.fires("kill_flush"):
+            os._exit(137)  # die after the temp write, before the rename
         os.replace(tmp, self.path)
         self._dirty = False
         self.stats.flushes += 1
@@ -974,7 +954,8 @@ class SqliteResultStore(ResultStore):
                     for ts, event, payload in events
                 ],
             )
-        _chaos_kill_flush()  # die after the inserts, before the commit
+        if self._chaos.fires("kill_flush"):
+            os._exit(137)  # die after the inserts, before the commit
         conn.commit()
         return written
 

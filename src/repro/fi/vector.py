@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fi._counters import COUNTERS
+from repro.fi.chaos import ChaosPlan
 
 try:
     import numpy as np
@@ -729,9 +730,7 @@ class BatchRunner:
         self._policies = policies
         self._period = period_ticks
         self._width = batch_width
-        self._chaos = any(
-            name.startswith("REPRO_CHAOS_") for name in os.environ
-        )
+        self._chaos = ChaosPlan.from_env(os.environ).armed
         self._cache: Dict[int, Dict[int, Any]] = {}
         self._served: Dict[int, int] = {}
         self._group_of: Dict[int, _Group] = {}

@@ -28,11 +28,9 @@ whatever the daemon's process-wide golden-run cache
 scheduler pre-warms it per target so concurrent campaigns of the same
 target share golden runs instead of recomputing them.
 
-Chaos hooks (test/CI only): ``REPRO_CHAOS_KILL_SERVICE=<n>`` hard-
-kills the daemon on its *n*-th scheduler tick;
-``REPRO_CHAOS_KILL_FLUSH=<n>`` (see :mod:`repro.fi.store`) hard-kills
-a job child during its *n*-th checkpoint flush, before the bytes
-become durable.
+Chaos hooks (test/CI only) kill the daemon or a job child at chosen
+points; see :mod:`repro.fi.chaos` and ``docs/campaigns.md``
+§ "Chaos hooks".
 """
 
 from repro.service.client import (

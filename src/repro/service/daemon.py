@@ -97,24 +97,27 @@ class ServiceDaemon:
     def status_payload(
         self, job_id: Optional[int] = None
     ) -> Dict[str, Any]:
-        jobs = (
-            [j for j in [self.queue.get(job_id)] if j is not None]
-            if job_id is not None
-            else self.queue.jobs()
-        )
-        rows = []
-        for job in jobs:
-            row = job.describe()
-            row["progress"] = job_progress(self.spool, job)
-            rows.append(row)
-        return {
-            "ok": True,
-            "pid": os.getpid(),
-            "draining": self._stop.is_set(),
-            "queue": self.queue.depth(),
-            "counters": self.queue.counters(),
-            "jobs": rows,
-        }
+        # the queue lock keeps the scheduler from forking a job child
+        # while this thread is inside sqlite (see JobQueue.lock)
+        with self.queue.lock:
+            jobs = (
+                [j for j in [self.queue.get(job_id)] if j is not None]
+                if job_id is not None
+                else self.queue.jobs()
+            )
+            rows = []
+            for job in jobs:
+                row = job.describe()
+                row["progress"] = job_progress(self.spool, job)
+                rows.append(row)
+            return {
+                "ok": True,
+                "pid": os.getpid(),
+                "draining": self._stop.is_set(),
+                "queue": self.queue.depth(),
+                "counters": self.queue.counters(),
+                "jobs": rows,
+            }
 
     def _all_terminal(self) -> bool:
         depth = self.queue.depth()

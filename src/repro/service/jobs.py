@@ -174,8 +174,12 @@ class JobQueue:
         self._conn: Optional[sqlite3.Connection] = None
         #: serializes every queue operation: the daemon touches the
         #: queue from its scheduler thread, its connection-handler
-        #: threads, and its main thread over one connection
-        self._lock = threading.RLock()
+        #: threads, and its main thread over one connection.  The
+        #: scheduler also holds it while it forks a job child, and the
+        #: status endpoint while it reads a job's checkpoint database,
+        #: so no thread is inside sqlite at a fork (a child forked
+        #: then would block forever on sqlite's inherited mutexes).
+        self.lock = threading.RLock()
 
     # -- connection -----------------------------------------------------
     @property
@@ -204,7 +208,7 @@ class JobQueue:
         return self._conn
 
     def close(self) -> None:
-        with self._lock:
+        with self.lock:
             if self._conn is not None:
                 try:
                     self._conn.close()
@@ -231,7 +235,7 @@ class JobQueue:
                 "a job spec is a JSON object with at least an "
                 "'experiment' key"
             )
-        with self._lock:
+        with self.lock:
             conn = self.connection
             with conn:  # one transaction: the admission check is atomic
                 (backlog,) = conn.execute(
@@ -265,7 +269,7 @@ class JobQueue:
         next row.
         """
         excluded = set(int(job_id) for job_id in exclude)
-        with self._lock:
+        with self.lock:
             conn = self.connection
             while True:
                 row = None
@@ -293,7 +297,7 @@ class JobQueue:
 
     def heartbeat(self, job_id: int) -> None:
         """Refresh a running job's lease timestamp."""
-        with self._lock, self.connection as conn:
+        with self.lock, self.connection as conn:
             conn.execute(
                 "UPDATE jobs SET lease_ts = ? "
                 "WHERE id = ? AND state = 'running'",
@@ -302,7 +306,7 @@ class JobQueue:
 
     def set_child(self, job_id: int, child_pid: Optional[int]) -> None:
         """Record the forked child actually executing the job."""
-        with self._lock, self.connection as conn:
+        with self.lock, self.connection as conn:
             conn.execute(
                 "UPDATE jobs SET child_pid = ? "
                 "WHERE id = ? AND state = 'running'",
@@ -314,7 +318,7 @@ class JobQueue:
     ) -> None:
         """Record the granted worker width (and any honest
         degradation note) in the job's status row."""
-        with self._lock, self.connection as conn:
+        with self.lock, self.connection as conn:
             conn.execute(
                 "UPDATE jobs SET workers = ?, "
                 "degraded = COALESCE(?, degraded) WHERE id = ?",
@@ -335,7 +339,7 @@ class JobQueue:
         """
         horizon = time.time() - lease_timeout_s
         stale: List[Job] = []
-        with self._lock:
+        with self.lock:
             rows = self.connection.execute(
                 f"SELECT {_JOB_COLUMNS} FROM jobs "
                 f"WHERE state = 'running' "
@@ -366,7 +370,7 @@ class JobQueue:
         ladder.
         """
         refund = 1 if give_back_attempt else 0
-        with self._lock, self.connection as conn:
+        with self.lock, self.connection as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET state = 'queued', "
                 "attempts = MAX(attempts - ?, 0), lease_owner = NULL, "
@@ -382,7 +386,7 @@ class JobQueue:
         """running → done | failed | cancelled; returns success."""
         if state not in TERMINAL_STATES:
             raise ServiceError(f"not a terminal job state: {state!r}")
-        with self._lock, self.connection as conn:
+        with self.lock, self.connection as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET state = ?, error = ?, finished_ts = ?, "
                 "lease_owner = NULL, lease_pid = NULL, lease_ts = NULL, "
@@ -399,7 +403,7 @@ class JobQueue:
         (the scheduler stops its child and finishes the transition);
         a terminal one is left alone.
         """
-        with self._lock:
+        with self.lock:
             conn = self.connection
             with conn:
                 cursor = conn.execute(
@@ -419,7 +423,7 @@ class JobQueue:
 
     # -- queries --------------------------------------------------------
     def get(self, job_id: int) -> Optional[Job]:
-        with self._lock:
+        with self.lock:
             row = self.connection.execute(
                 f"SELECT {_JOB_COLUMNS} FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
@@ -432,14 +436,14 @@ class JobQueue:
             query += " WHERE state = ?"
             args = (state,)
         query += " ORDER BY id"
-        with self._lock:
+        with self.lock:
             rows = self.connection.execute(query, args).fetchall()
         return [_row_to_job(row) for row in rows]
 
     def depth(self) -> Dict[str, int]:
         """Job count per state (zero-count states included)."""
         counts = {state: 0 for state in JOB_STATES}
-        with self._lock:
+        with self.lock:
             rows = self.connection.execute(
                 "SELECT state, COUNT(*) FROM jobs GROUP BY state"
             ).fetchall()
@@ -450,7 +454,7 @@ class JobQueue:
     # -- counters -------------------------------------------------------
     def bump(self, name: str, delta: int = 1) -> None:
         """Increment one monotonic fault/progress counter."""
-        with self._lock, self.connection as conn:
+        with self.lock, self.connection as conn:
             conn.execute(
                 "INSERT INTO counters (name, value) VALUES (?, ?) "
                 "ON CONFLICT(name) DO UPDATE SET value = value + ?",
@@ -458,7 +462,7 @@ class JobQueue:
             )
 
     def counters(self) -> Dict[str, int]:
-        with self._lock:
+        with self.lock:
             rows = self.connection.execute(
                 "SELECT name, value FROM counters ORDER BY name"
             ).fetchall()

@@ -2,9 +2,9 @@
 
 The scheduler is the daemon's engine room: each tick it
 
-1. fires the ``REPRO_CHAOS_KILL_SERVICE`` chaos hook (tests/CI kill
-   the daemon at a chosen tick, including while a child is mid-
-   checkpoint-flush);
+1. fires the kill-service chaos hook (tests/CI kill the daemon at a
+   chosen tick, including while a child is mid-checkpoint-flush; see
+   :mod:`repro.fi.chaos`);
 2. reaps finished job children — success finishes the job, an
    interrupted child (checkpoint flushed) requeues it, a failed child
    retries it with decorrelated-jitter backoff until its attempt
@@ -43,7 +43,8 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import CampaignError, ServiceError
+from repro.fi.chaos import ChaosPlan, disarm_daemon_hooks
 from repro.fi.executor import MAX_BACKOFF_S, decorrelated_backoff
 from repro.service.jobs import Job, JobQueue
 
@@ -93,6 +94,11 @@ def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     env = spec.get("env")
     if env is not None and not isinstance(env, dict):
         raise ServiceError("spec 'env' must be an object of strings")
+    try:
+        # the child sets each pair as strings; check its chaos hooks now
+        ChaosPlan.from_env({str(k): str(v) for k, v in (env or {}).items()})
+    except CampaignError as exc:
+        raise ServiceError(str(exc)) from None
     return spec
 
 
@@ -119,8 +125,7 @@ def _job_main(
     # service-level chaos hooks target the daemon, not its jobs; a
     # job opts into child-side chaos through its spec env, and only
     # on the first attempt, so the retry can prove recovery
-    os.environ.pop("REPRO_CHAOS_KILL_SERVICE", None)
-    os.environ.pop("REPRO_CHAOS_KILL_FLUSH", None)
+    disarm_daemon_hooks(os.environ)
     env = spec.get("env") or {}
     if attempt == 1:
         for name, value in env.items():
@@ -273,7 +278,7 @@ class Scheduler:
         self._not_before: Dict[int, float] = {}
         self._backoff_prev: Dict[int, float] = {}
         self._warmed: Set[Tuple[str, str]] = set()
-        self._chaos_ticks = 0
+        self._chaos = ChaosPlan.from_env(os.environ)
         seed = self.config.backoff_seed
         self._rng = random.Random(seed if seed is not None else os.getpid())
 
@@ -285,24 +290,13 @@ class Scheduler:
 
     # -- one tick -------------------------------------------------------
     def tick(self) -> None:
-        self._chaos_kill_service()
+        if self._chaos.fires("kill_service"):
+            os._exit(137)
         self._reap()
         self._enforce_cancels()
         self._heartbeat()
         self.queue.reclaim_stale(self.config.lease_timeout_s)
         self._claim_work()
-
-    def _chaos_kill_service(self) -> None:
-        target = os.environ.get("REPRO_CHAOS_KILL_SERVICE")
-        if not target:
-            return
-        try:
-            nth = int(target)
-        except ValueError:
-            return
-        self._chaos_ticks += 1
-        if self._chaos_ticks == nth:
-            os._exit(137)
 
     # -- reaping --------------------------------------------------------
     def _reap(self) -> None:
@@ -476,7 +470,8 @@ class Scheduler:
             ),
             daemon=False,
         )
-        process.start()
+        with self.queue.lock:
+            process.start()
         self.queue.set_child(job.id, process.pid)
         self._running[job.id] = RunningJob(
             job=job, process=process, width=width

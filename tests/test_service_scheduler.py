@@ -208,6 +208,41 @@ class TestSupervision:
         assert job_id not in scheduler._running
 
 
+class TestForkSafety:
+    def test_fork_holds_the_queue_lock(self, spool, queue, monkeypatch):
+        """A job child is forked only while no other thread can be
+        inside sqlite: the status endpoint's reads take the same lock,
+        and a child forked mid-read would block on sqlite's inherited
+        mutexes for good."""
+        import multiprocessing.process
+        import threading
+
+        held = []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def probe():
+            free = queue.lock.acquire(blocking=False)
+            if free:
+                queue.lock.release()
+            held.append(not free)
+
+        def start(process):
+            other = threading.Thread(target=probe)
+            other.start()
+            other.join()
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        monkeypatch.setattr(
+            "repro.service.scheduler._job_main",
+            lambda *args: os._exit(0),
+        )
+        scheduler = make_scheduler(spool, queue)
+        job = run_until_terminal(scheduler, queue, queue.submit(SPEC))
+        assert job.state == "done"
+        assert held == [True]
+
+
 class TestFairShare:
     def test_single_job_gets_whole_budget(self, spool, queue):
         scheduler = make_scheduler(spool, queue, budget=8)

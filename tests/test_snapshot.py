@@ -566,16 +566,6 @@ class TestTrackPool:
         assert t_on.ff_restores > 0
         assert t_off.ff_restores > 0
 
-    def test_env_kill_switch_disables_pool(self, test_cases, monkeypatch):
-        from repro.fi.snapshot import FastForward
-
-        monkeypatch.setenv("REPRO_NO_TRACK_POOL", "1")
-        engine = FastForward(factory, "arrestment")
-        assert not engine.track_pool_enabled
-        assert engine.pooled_tracks == 0
-        monkeypatch.delenv("REPRO_NO_TRACK_POOL")
-        assert FastForward(factory, "arrestment").track_pool_enabled
-
     def test_policy_flag_disables_pool(self, test_cases):
         from repro.fi.snapshot import FastForward
 
