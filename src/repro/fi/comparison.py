@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import AnalysisError
 from repro.model.graph import SignalGraph
-from repro.target.simulation import SignalTraces
+from repro.model.simulator import SignalTraces
 
 __all__ = ["SignalDivergence", "PropagationTimeline", "compare_runs"]
 

@@ -346,11 +346,11 @@ class VectorPolicy:
     ``batch_width`` > 0 lets campaigns that publish a batch planner
     advance up to that many injected runs per numpy tick inside one
     worker; rows follow their own — possibly corrupted — dispatch
-    schedule via masked invocations where the kernel supports it, and
-    otherwise retire to the scalar path, so results stay
-    bit-identical to scalar execution.  ``0`` (the default) keeps the
-    scalar path for everything.  Campaigns without a planner ignore
-    the policy.
+    schedule via masked invocations, and permeability rows whose
+    dispatch departs the golden schedule retire to the scalar path,
+    so results stay bit-identical to scalar execution.  ``0`` (the
+    default) keeps the scalar path for everything.  Campaigns without
+    a planner ignore the policy.
     """
 
     #: injected runs advanced per vectorized tick; 0 disables batching.
@@ -671,7 +671,7 @@ class CampaignTelemetry:
     #: control flow diverged from the golden trace.
     vec_retired_rows: int = 0
     #: batch-eligible tasks that fell back to the scalar runner
-    #: (audit-selected, chaos env, retired, or unsupported).
+    #: (audit-selected or unsupported).
     vec_scalar_fallbacks: int = 0
     #: groups whose rows span more than one test case (cross-case
     #: batching sharing one lockstep pass over several goldens).
@@ -1231,6 +1231,8 @@ class CampaignExecutor:
                 kind=violation.kind,
                 index=violation.index,
                 detail=violation.detail,
+                expected=violation.expected,
+                observed=violation.observed,
             )
 
         checkpoint_rejects = 0
@@ -1336,14 +1338,7 @@ class CampaignExecutor:
             payload is double-count-free on both backends.
             """
             for encoded in payload.get("viol", ()):
-                violation = IntegrityViolation.from_json(encoded)
-                self.violations.append(violation)
-                events.emit(
-                    "integrity_violation",
-                    kind=violation.kind,
-                    index=violation.index,
-                    detail=violation.detail,
-                )
+                on_violation(IntegrityViolation.from_json(encoded))
 
         def succeed(index: int, payload: Dict, busy: float) -> None:
             telemetry.executed_runs += 1

@@ -65,7 +65,7 @@ from repro.errors import CampaignError
 from repro.fi._counters import COUNTERS
 from repro.fi.chaos import ChaosPlan
 from repro.fi.shm import ShmArrayPack, shm_available
-from repro.target.simulation import SignalTraces, SimulatorState
+from repro.model.simulator import SignalTraces, SimulatorState
 
 __all__ = [
     "DEFAULT_CHECKPOINT_STRIDE",

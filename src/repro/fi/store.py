@@ -27,11 +27,11 @@ Two implementations:
 
 :class:`SqliteResultStore`
     A real results database: campaigns, per-task records, quarantined
-    task failures, integrity violations, run events and saved results
-    in normalized sqlite tables, written in WAL mode.  Records stream
-    in per-flush transactions (each record's bytes are written once,
-    instead of rewriting the whole document), and resume only needs
-    the completed index set — the full result set is never
+    task failures, run events (integrity violations among them) and
+    saved results in normalized sqlite tables, written in WAL mode.
+    Records stream in per-flush transactions (each record's bytes are
+    written once, instead of rewriting the whole document), and resume
+    only needs the completed index set — the full result set is never
     materialized in memory on load.  One database file holds many
     campaigns and many runs, which is what makes cross-campaign
     analytics (``repro analyze diff``) possible.
@@ -602,17 +602,6 @@ CREATE TABLE IF NOT EXISTS task_failures (
     attempts    INTEGER NOT NULL,
     PRIMARY KEY (campaign_id, idx)
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS integrity_violations (
-    id          INTEGER PRIMARY KEY,
-    campaign_id INTEGER
-        REFERENCES campaigns(id) ON DELETE CASCADE,
-    ts          REAL NOT NULL,
-    kind        TEXT NOT NULL,
-    idx         INTEGER,
-    detail      TEXT NOT NULL,
-    expected    TEXT,
-    observed    TEXT
-);
 CREATE TABLE IF NOT EXISTS events (
     id          INTEGER PRIMARY KEY,
     campaign_id INTEGER
@@ -990,26 +979,7 @@ class SqliteResultStore(ResultStore):
             for _, name, fingerprint, n_tasks, completed, failures in rows
         ]
 
-    # -- violations and events ------------------------------------------
-    def record_violation(self, violation: IntegrityViolation) -> None:
-        """Persist one structured integrity violation."""
-        conn = self.connection
-        conn.execute(
-            "INSERT INTO integrity_violations "
-            "(campaign_id, ts, kind, idx, detail, expected, observed) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                self._campaign_id,
-                time.time(),
-                violation.kind,
-                violation.index,
-                violation.detail,
-                violation.expected,
-                violation.observed,
-            ),
-        )
-        conn.commit()
-
+    # -- events -----------------------------------------------------------
     def log_event(self, record: Dict[str, Any]) -> None:
         fields = {
             k: v for k, v in record.items()

@@ -12,29 +12,34 @@ state, module state cells, sensor registers and the signal store
 become numpy arrays with **one row per run** (rows of a group may mix
 test cases; each row is seeded from its own case's tick-0 snapshot
 and diffed against its own golden stream via per-row indirection),
-and a target-specific kernel (``repro.watertank.vectorize`` /
-``repro.target.vectorize``) advances *all* rows of a batch through
-each tick at once.  Memory/recovery rows vectorize the periodic
-single-bit flips of :class:`repro.fi.injector.PeriodicMemoryFlip`
-(:class:`MemoryFlipPlan`), and recovery groups run twice — a plain
-detection pass and a containment pass with a
-:class:`RecoveringBankArrays` poking substitutions into the store.
+and a target-specific kernel (a :class:`VectorKernel` subclass:
+``repro.watertank.vectorize`` / ``repro.target.vectorize``) advances
+*all* rows of a batch through each tick at once.  Memory/recovery rows
+vectorize the periodic single-bit flips of
+:class:`repro.fi.injector.PeriodicMemoryFlip` (:class:`MemoryFlipPlan`),
+and recovery groups run twice — a plain detection pass and a
+containment pass with a :class:`RecoveringBankArrays` poking
+substitutions into the store.
 
 Correctness contract
 --------------------
 Batching is a pure execution strategy: outcomes are **bit-identical**
-to the scalar path.  Three mechanisms keep that true:
+to the scalar path.  Four mechanisms keep that true:
 
 * every kernel is a transcription of the scalar simulator's per-tick
   arithmetic onto int64/float64 arrays (same operation order, same
   quantization points), seeded from the same tick-0
   ``capture_state()`` snapshots;
-* dispatch-divergent rows are *retired*: the golden slot schedule is
-  asserted after every CLOCK/TIMER invocation, and a row whose control
-  flow departs it (a flipped slot number) leaves the batch and is
-  recomputed wholesale by the scalar path;
-* rows selected for an integrity audit, or running under chaos-test
-  instrumentation, never enter a batch at all.
+* dispatch is per row: like the scalar loop, each memory, recovery or
+  detection row runs the modules of its own — possibly corrupted —
+  slot through masked invocations, so a row whose flips re-wire the
+  dispatch chain stays in the batch;
+* permeability rows whose dispatch departs the golden slot schedule
+  are *retired*: their recorded invocation streams assume that
+  schedule, so they leave the batch and are recomputed wholesale by
+  the scalar path;
+* rows selected for an integrity audit never enter a batch, and
+  neither does any row of a run with an armed chaos hook.
 
 Golden invocation streams — the reference side of the permeability
 comparison — are packed once into shared memory
@@ -54,6 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fi._counters import COUNTERS
 from repro.fi.chaos import ChaosPlan
+from repro.model.signal import SignalType
 
 try:
     import numpy as np
@@ -69,6 +75,7 @@ __all__ = [
     "RecoveringBankArrays",
     "MemoryFlipPlan",
     "flip_cells",
+    "VectorKernel",
     "BatchRunner",
     "wrap_runner",
     "close_runner",
@@ -166,8 +173,6 @@ def q_bool(values):
 def flip_cells(values, bitmask, sig_type, width: int):
     """Vectorized :func:`repro.model.signal.flip_bit` for int-backed
     cells (UINT/INT/BOOL; FLOAT cells never enter a batch)."""
-    from repro.model.signal import SignalType
-
     raw = (np.asarray(values, dtype=np.int64) & ((1 << width) - 1)) ^ bitmask
     if sig_type is SignalType.BOOL:
         return q_bool(raw)
@@ -431,7 +436,7 @@ class MemoryFlipPlan:
         for (module, cell), pairs in local_rows.items():
             ctype, width = kernel.local_spec[(module, cell)]
             self._local[(module, cell)] = (*_bucket(pairs), ctype, width)
-        self._succ_cells = frozenset(getattr(kernel, "succ_cells", ()))
+        self._succ_cells = frozenset(kernel.succ_cells)
         self._any_armed = False
         self._build_schedule()
 
@@ -568,6 +573,463 @@ class MemoryFlipPlan:
 
 
 # ======================================================================
+# The target kernel skeleton.
+# ======================================================================
+class _PermeabilityRows:
+    """The arg-flip plan and invocation recording of one permeability
+    batch: each row flips one input port of ``job.module`` at its first
+    invocation at or after its tick, and every invocation of that
+    module is recorded for the golden-stream diff."""
+
+    def __init__(self, kernel, job: GroupJob, bitmask, first_inj):
+        n = len(job.rows)
+        inj = [row.injection for row in job.rows]
+        self.module = module = job.module
+        ins, outs, _, _ = kernel.ports[module]
+        self.port_idx = np.array(
+            [ins.index(i.port) for i in inj], dtype=np.int64
+        )
+        self.from_tick = np.array([i.tick for i in inj], dtype=np.int64)
+        self.pending = np.ones(n, dtype=bool)
+        self.bitmask = bitmask
+        self.first_inj = first_inj
+        ticks, n_slots = kernel.max_ticks, kernel.n_slots
+        if module == kernel.dispatch_module:
+            cap = ticks
+        else:
+            slot = next(
+                s for s, mods in kernel.slot_modules.items() if module in mods
+            )
+            first = (slot - 1) % n_slots
+            cap = max(0, (ticks - first + n_slots - 1) // n_slots)
+        self.ins = np.zeros((n, cap, len(ins)), dtype=np.int64)
+        self.outs = np.zeros((n, cap, len(outs)), dtype=np.int64)
+        self.length = np.zeros(n, dtype=np.int64)
+        self.k = 0
+
+    def invoke(self, kernel, module: str, S, M, t: int, entered) -> None:
+        """Invoke *module* on every row; for the recorded module, flip
+        the pending rows' ports and record the live rows' invocation."""
+        if module != self.module:
+            kernel._invoke(module, S, M, None)
+            return
+        sel = self.pending & (t >= self.from_tick)
+        if entered is not None:
+            sel &= entered
+        args, outs = kernel._invoke(
+            module, S, M, (sel, self.port_idx, self.bitmask)
+        )
+        if sel.any():
+            self.pending &= ~sel
+            self.first_inj[sel] = t
+        live = slice(None) if entered is None else np.nonzero(entered)[0]
+        k = self.k
+        for j, a in enumerate(args):
+            self.ins[live, k, j] = a[live]
+        for j, o in enumerate(outs):
+            self.outs[live, k, j] = o[live]
+        self.length[live] = k + 1
+        self.k = k + 1
+
+
+class VectorKernel:
+    """Struct-of-arrays executor for batches of one target's runs.
+
+    Every scalar quantity of the target's
+    :class:`~repro.model.simulator.ClosedLoopSimulator` — signal store,
+    module state cells, sensor registers, plant state — becomes an
+    int64/float64 array with one row per run, and each module body is
+    transcribed onto those arrays in the exact operation order of the
+    scalar code.  This base owns the loop harness of
+    :meth:`run_group`: seeding from the rows' tick-0 snapshots, the
+    per-kind injection plan, permeability recording, the monitor bank,
+    the dispatch module's successor-cell step, per-row masked dispatch
+    and the ``running`` mask of variable-length runs.
+
+    A target kernel names its scalar simulator, its every-tick dispatch
+    module and that module's successor cells, the plant snapshot keys
+    to gather, and provides :meth:`_seed`, :meth:`_advance_sensors`,
+    :meth:`_step_plant`, :meth:`_outcome` and its module bodies
+    (``_BODIES``, the dispatch module's included).
+    """
+
+    #: class name of the scalar simulator this kernel transcribes
+    simulator = ""
+    #: the every-tick module whose first output is the next slot number
+    dispatch_module = ""
+    #: its slot-successor state cells, formatted with the slot index
+    successor_cell = ""
+    #: plant snapshot keys gathered into float64 per-row arrays
+    plant_keys: Tuple[str, ...] = ()
+    #: every run lasts ``max_ticks``: rows are always live, so the
+    #: kernel skips the live-row masks and runs full-slice fast paths
+    fixed_length = False
+    #: module name -> body(kernel, args, state) returning output arrays
+    _BODIES: Dict[str, Callable] = {}
+
+    @classmethod
+    def supports(cls, probe) -> bool:
+        return type(probe).__name__ == cls.simulator
+
+    def __init__(self, probe, max_ticks: int):
+        self.max_ticks = max_ticks
+        self.n_slots = probe.executor.schedule.n_slots
+        self.slot_modules: Dict[int, List[str]] = {}
+        for module, slot in probe.module_slots.items():
+            self.slot_modules.setdefault(slot, []).append(module)
+        system = probe.system
+        #: module -> (in ports, out ports, in signals, out signals)
+        self.ports = {}
+        for module in system.modules():
+            name = module.name
+            ins = list(module.inputs)
+            outs = list(module.outputs)
+            self.ports[name] = (
+                ins,
+                outs,
+                [system.signal_of_input(name, p) for p in ins],
+                [system.signal_of_output(name, p) for p in outs],
+            )
+        #: signal -> (SignalType, width), for store-write quantization
+        self.quant = {
+            name: (system.signal(name).sig_type, system.signal(name).width)
+            for name in system.signal_names()
+        }
+        #: (module, cell) -> (cell_type, width), for memory-row flips
+        self.state_spec = {}
+        self.local_spec = {}
+        for module in system.modules():
+            for spec in module.state.specs():
+                self.state_spec[(module.name, spec.name)] = (
+                    spec.cell_type, spec.width
+                )
+            for spec in module.local_specs:
+                self.local_spec[(module.name, spec.name)] = (
+                    spec.cell_type, spec.width
+                )
+        #: system-input signal -> sensor-suite register
+        self.registers = dict(probe._REGISTER_OF)
+        #: state cells feeding the gathered dispatch schedule, by slot
+        self.succ_cells = tuple(
+            (self.dispatch_module, self.successor_cell.format(j))
+            for j in range(self.n_slots)
+        )
+        self.slot_signal = self.ports[self.dispatch_module][3][0]
+        self._mem: Optional[MemoryFlipPlan] = None
+        self._succ = None  #: (rows, n_slots) successor table, per group
+        self._row_ix = None
+
+    def module_ports(self, module: str):
+        ins, outs, _, _ = self.ports[module]
+        return ins, outs
+
+    @staticmethod
+    def _rows(source, rows: Sequence[VectorRow], pick, dtype="int64"):
+        """One array column per row: *pick* applied to each row's entry
+        of *source* (``GroupJob.templates`` or ``GroupJob.cases``)."""
+        return np.array(
+            [pick(source[row.case_id]) for row in rows], dtype=dtype
+        )
+
+    def supports_injection(self, inj: RowInjection) -> bool:
+        """Whether a row's injection can strike inside a batch
+        (memory rows: int-backed cells the kernel hooks only)."""
+        kind = inj.memory_kind
+        if kind is None:
+            return True
+        if kind == "state":
+            spec = self.state_spec.get((inj.module, inj.cell))
+        elif kind == "signal":
+            spec = self.quant.get(inj.cell)
+        elif kind == "arg":
+            ports = self.ports.get(inj.module)
+            if ports is None or inj.cell not in ports[0]:
+                return False
+            spec = self.quant.get(ports[2][ports[0].index(inj.cell)])
+        elif kind == "local":
+            spec = self.local_spec.get((inj.module, inj.cell))
+        else:
+            return False
+        return spec is not None and spec[0] is not SignalType.FLOAT
+
+    def _mem_local(self, module: str, name: str, values):
+        """Hook point of one scalar ``set_local``: armed memory rows
+        strike the freshly quantized local value here."""
+        if self._mem is None:
+            return values
+        return self._mem.local(module, name, values)
+
+    def _q_store(self, signal: str, values):
+        """Store-write quantization of *values* for *signal* (always a
+        fresh array, so store cells never alias register arrays)."""
+        sig_type, width = self.quant[signal]
+        if sig_type is SignalType.BOOL:
+            return q_bool(values)
+        if sig_type is SignalType.INT:
+            return q_int(values, width)
+        if sig_type is SignalType.FLOAT:
+            return np.array(values, dtype=np.int64, copy=True)
+        return q_uint(np.asarray(values, dtype=np.int64), width)
+
+    def _successors(self, slot):
+        """Each row's successor-cell value for its *slot* (the gathered
+        dispatch table; the dispatch body range-checks *slot*)."""
+        return self._succ[self._row_ix, slot % self.n_slots]
+
+    def _stack_successors(self, M) -> None:
+        self._succ = np.stack(
+            [M[module][cell] for module, cell in self.succ_cells], axis=1
+        )
+
+    # ------------------------------------------------------------------
+    # Target hooks.
+    # ------------------------------------------------------------------
+    def _seed(self, job: GroupJob, P: Dict[str, Any], judged: bool) -> None:
+        """Add the target's per-row arrays to *P* (which holds the
+        ``plant_keys`` columns): sensor internals, case parameters and,
+        when *judged* (memory/recovery rows), verdict accumulators."""
+
+    def _advance_sensors(self, P, regs) -> None:
+        """The sensor suite's per-tick advance onto *regs*."""
+        raise NotImplementedError
+
+    def _step_plant(self, P, S, t: int, entered):
+        """Step the plant one tick from the actuator signals of *S*,
+        accumulate judged rows' verdicts, and return the rows that
+        leave the loop after this tick (None: none ever do)."""
+        raise NotImplementedError
+
+    def _outcome(self, P, n: int):
+        """(completion tick per row, failed per row or None)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    def run_group(self, job: GroupJob) -> GroupResult:
+        rows = job.rows
+        n = len(rows)
+        n_slots = self.n_slots
+        templates = job.templates
+        seed = templates[rows[0].case_id]
+        take = self._rows
+
+        # ---- per-row signal store, module state cells, plant, registers
+        S = {
+            name: take(templates, rows, lambda t, k=name: t.signals[k])
+            for name in seed.signals
+        }
+        M: Dict[str, Dict[str, Any]] = {
+            module: {
+                cell: take(
+                    templates, rows,
+                    lambda t, m=module, c=cell: t.modules[m][c],
+                )
+                for cell in seed.modules[module]
+            }
+            for module in self.ports
+        }
+        P = {
+            key: take(templates, rows, lambda t, k=key: t.plant[k], "float64")
+            for key in self.plant_keys
+        }
+        regs = {
+            signal: take(templates, rows, lambda t, a=attr: t.sensors[a])
+            for signal, attr in self.registers.items()
+        }
+
+        # ---- injection plan
+        inj = [row.injection for row in rows]
+        bitmask = np.array([1 << i.bit for i in inj], dtype=np.int64)
+        first_inj = np.full(n, -1, dtype=np.int64)
+        perm = mem = inj_tick = inj_sig = None
+        if job.kind == "permeability":
+            perm = _PermeabilityRows(self, job, bitmask, first_inj)
+        elif job.kind in ("memory", "recovery"):
+            mem = MemoryFlipPlan(self, rows, first_inj)
+        else:
+            inj_tick = np.array([i.tick for i in inj], dtype=np.int64)
+            inj_sig = {
+                signal: np.array(
+                    [i.signal == signal for i in inj], dtype=bool
+                )
+                for signal in regs
+            }
+        self._seed(job, P, judged=mem is not None)
+
+        bank = None
+        if job.specs:
+            if job.recover:
+                bank = RecoveringBankArrays(
+                    job.specs, n,
+                    policies=job.policies, q_store=self._q_store,
+                )
+            else:
+                bank = BankArrays(job.specs, n)
+
+        self._mem = mem
+        self._row_ix = np.arange(n)
+        self._stack_successors(M)
+        clock = self.dispatch_module
+        retired = np.zeros(n, dtype=bool)
+        running = None if self.fixed_length else np.ones(n, dtype=bool)
+        entered = None  #: rows live this tick (None: all of them)
+        batched = 0
+
+        t = 0
+        while t < self.max_ticks and (running is None or running.any()):
+            if running is None:
+                batched += n
+            else:
+                entered = running.copy()
+                batched += int(entered.sum())
+
+            # --- sensor advance (state evolution is not gated: rows
+            # past their run compute harmless garbage), register reads
+            self._advance_sensors(P, regs)
+            for signal, values in regs.items():
+                S[signal] = self._q_store(signal, values)
+
+            # --- pre-tick system-input flips (detection, live rows)
+            if inj_tick is not None:
+                fire = inj_tick == t
+                if entered is not None:
+                    fire &= entered
+                if fire.any():
+                    for signal, is_sig in inj_sig.items():
+                        m = fire & is_sig
+                        if m.any():
+                            regs[signal][m] ^= bitmask[m]
+                            S[signal][m] ^= bitmask[m]
+                    first_inj[fire] = t
+
+            # --- pre-tick periodic memory flips (live rows)
+            if mem is not None and mem.pre_tick(t, S, M, entered):
+                self._stack_successors(M)
+
+            slot = (t + 1) % n_slots
+            if perm is None:
+                # per-row dispatch (memory/recovery/detection rows):
+                # exactly like the scalar loop, each row runs the
+                # modules of its own — possibly corrupted — slot, so
+                # dispatch-divergent rows stay in the batch instead of
+                # retiring to the scalar path
+                self._invoke(clock, S, M, None)
+                cur = S[self.slot_signal]
+                if (cur == slot).all():
+                    for module in self.slot_modules.get(slot, ()):
+                        self._invoke(module, S, M, None)
+                else:
+                    for value in np.unique(cur):
+                        modules = self.slot_modules.get(int(value), ())
+                        if not modules:
+                            continue
+                        row_mask = cur == value
+                        for module in modules:
+                            self._invoke(module, S, M, None, mask=row_mask)
+            else:
+                # permeability rows: the recorded invocation stream
+                # assumes the golden schedule — retire live rows whose
+                # dispatch diverged from it
+                perm.invoke(self, clock, S, M, t, entered)
+                diverged = ~retired & (S[self.slot_signal] != slot)
+                if entered is not None:
+                    diverged &= entered
+                if diverged.any():
+                    retired |= diverged
+                for module in self.slot_modules.get(slot, ()):
+                    perm.invoke(self, module, S, M, t, entered)
+
+            # --- monitor bank (end of each dispatch cycle, live rows)
+            if bank is not None and t % n_slots == n_slots - 1:
+                bank.evaluate(S, t, mask=entered)
+
+            leave = self._step_plant(P, S, t, entered)
+            if leave is not None:
+                running &= ~leave
+            t += 1
+
+        self._mem = None
+        COUNTERS["vec_batched_ticks"] += batched
+
+        completion, failed = self._outcome(P, n)
+        return GroupResult(
+            retired=retired.tolist(),
+            injected=(first_inj >= 0).tolist(),
+            first_injection_tick=[
+                int(v) if v >= 0 else None for v in first_inj
+            ],
+            completion_tick=completion,
+            rec_len=perm.length.tolist() if perm is not None else None,
+            rec_ins=perm.ins if perm is not None else None,
+            rec_outs=perm.outs if perm is not None else None,
+            bank=[bank.row_records(r) for r in range(n)] if bank else None,
+            failed=failed,
+            actions=(
+                bank.actions.tolist()
+                if bank is not None and hasattr(bank, "actions")
+                else None
+            ),
+        )
+
+    # ------------------------------------------------------------------
+    def _invoke(self, module, S, M, flip, mask=None):
+        """Gather args from the store, apply marshal flips, run the
+        module body, write outputs back through store quantization.
+        Returns (post-marshal args, store read-back outputs) — the two
+        tuples an :class:`~repro.model.system.InvocationRecord`
+        captures.
+
+        With *mask*, only the masked rows take the invocation: the
+        body runs at full width, but outputs and state cells of rows
+        outside the mask are merged back unchanged — those rows'
+        (possibly corrupted) schedules did not dispatch *module* this
+        tick — and armed memory strikes are confined to the mask."""
+        ins, outs, in_sigs, out_sigs = self.ports[module]
+        args = [S[sig].copy() for sig in in_sigs]
+        if flip is not None:
+            sel, port_idx, bitmask = flip
+            if sel.any():
+                for j in range(len(args)):
+                    m = sel & (port_idx == j)
+                    if m.any():
+                        # xor of a bit < width on an in-range quantized
+                        # value stays in range for every signal type
+                        args[j][m] ^= bitmask[m]
+        prev_live = None
+        if self._mem is not None:
+            if mask is not None:
+                prev_live = self._mem.scoped_live(mask)
+            self._mem.marshal(module, args)
+        body = self._BODIES[module]
+        st = M[module]
+        out_arrays = []
+        if mask is None:
+            results = body(self, args, st)
+            for sig, values in zip(out_sigs, results):
+                S[sig] = self._q_store(sig, values)
+                out_arrays.append(S[sig])
+        else:
+            saved_state = dict(st)
+            saved_out = {sig: S[sig] for sig in out_sigs}
+            results = body(self, args, st)
+            for sig, values in zip(out_sigs, results):
+                merged = np.where(
+                    mask, self._q_store(sig, values), saved_out[sig]
+                )
+                S[sig] = merged
+                out_arrays.append(merged)
+            # module bodies reassign state cells (never mutate them in
+            # place), so the pre-invoke references still hold the
+            # unmasked rows' values
+            for cell, old in saved_state.items():
+                new = st[cell]
+                if new is not old:
+                    st[cell] = np.where(mask, new, old)
+            if self._mem is not None:
+                self._mem.restore_live(prev_live)
+        return args, out_arrays
+
+
+# ======================================================================
 # Group planning.
 # ======================================================================
 @dataclass
@@ -664,25 +1126,12 @@ def _kernel_for(probe):
     """The vector kernel class supporting *probe*, or ``None``."""
     if np is None:
         return None
-    kernels = []
-    try:
-        from repro.watertank.vectorize import WatertankVectorKernel
+    from repro.target.vectorize import ArrestmentVectorKernel
+    from repro.watertank.vectorize import WatertankVectorKernel
 
-        kernels.append(WatertankVectorKernel)
-    except Exception:  # pragma: no cover - partial install
-        pass
-    try:
-        from repro.target.vectorize import ArrestmentVectorKernel
-
-        kernels.append(ArrestmentVectorKernel)
-    except Exception:  # pragma: no cover - partial install
-        pass
-    for kernel in kernels:
-        try:
-            if kernel.supports(probe):
-                return kernel
-        except Exception:
-            continue
+    for kernel in (WatertankVectorKernel, ArrestmentVectorKernel):
+        if kernel.supports(probe):
+            return kernel
     return None
 
 
@@ -692,8 +1141,8 @@ class BatchRunner:
     Wraps a campaign's scalar ``runner(index)`` callable.  Task
     indices that belong to a plannable batch are answered by running
     the whole batch through the target's vector kernel once (cached
-    per process); everything else — audited rows, chaos runs, rows of
-    unsupported targets, retired rows — falls through to the wrapped
+    per process); everything else — audited rows, rows of unsupported
+    targets or injections, retired rows — falls through to the wrapped
     scalar runner, which remains the semantic reference.
 
     Also exposes the two executor integration hooks:
@@ -730,7 +1179,6 @@ class BatchRunner:
         self._policies = policies
         self._period = period_ticks
         self._width = batch_width
-        self._chaos = ChaosPlan.from_env(os.environ).armed
         self._cache: Dict[int, Dict[int, Any]] = {}
         self._served: Dict[int, int] = {}
         self._group_of: Dict[int, _Group] = {}
@@ -843,7 +1291,7 @@ class BatchRunner:
     # Dispatch.
     # ------------------------------------------------------------------
     def _batchable(self, index: int) -> Optional[_Group]:
-        if self._kernel is None or self._chaos:
+        if self._kernel is None:
             return None
         group = self._group_of.get(index)
         if group is None:
@@ -1050,11 +1498,13 @@ def wrap_runner(
     """The campaign's runner, batched when the config asks for it.
 
     Returns *runner* unchanged when batching is off (``batch_width``
-    0), numpy is unavailable, or no batch could be planned — the
+    0), numpy is unavailable, a chaos hook is armed (chaos runs test
+    the scalar path's fault handling, and the executor dispatches
+    their tasks one at a time), or no batch could be planned — the
     scalar path needs no wrapper to stay correct.
     """
     width = config.vector.batch_width if config is not None else 0
-    if width <= 0 or np is None:
+    if width <= 0 or np is None or ChaosPlan.from_env(os.environ).armed:
         return runner
     batched = BatchRunner(
         kind=kind,

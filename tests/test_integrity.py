@@ -11,6 +11,7 @@ merged into the paper's numbers.
 
 import json
 import math
+import sqlite3
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.fi import (
     canonical_digest,
     field_diff,
     fingerprint_of,
+    open_store,
     run_digest,
 )
 from repro.fi.snapshot import checkpoint_cache
@@ -225,6 +227,34 @@ class TestCheckpointDigests:
         assert executor.telemetry.checkpoint_rejects == 1
         assert executor.telemetry.resumed_runs == 3
         assert [v.kind for v in executor.violations] == ["checkpoint_digest"]
+
+    def test_sqlite_repair_logs_violation_event(self, tmp_path):
+        """The sqlite store's run-event table keeps every field of a
+        checkpoint-digest violation, expected and observed digests
+        included."""
+        path = tmp_path / "cp.db"
+        self._run(path)
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "UPDATE tasks SET record = ? WHERE idx = 2",
+            (json.dumps({"v": 99}),),
+        )
+        conn.commit()
+        conn.close()
+        executor, results = self._run(path, policy="repair")
+        assert results == [{"v": 0}, {"v": 2}, {"v": 4}, {"v": 6}]
+        (violation,) = executor.violations
+        with open_store(str(path)) as store:
+            (event,) = [
+                e for e in store.events()
+                if e["event"] == "integrity_violation"
+            ]
+        assert event["kind"] == "checkpoint_digest"
+        assert event["index"] == 2
+        assert event["detail"] == violation.detail
+        assert event["expected"] == violation.expected
+        assert event["observed"] == violation.observed
+        assert event["expected"] != event["observed"]
 
     def test_strict_raises_on_tampered_record(self, tmp_path):
         path = tmp_path / "cp.json"

@@ -131,7 +131,22 @@ class TestSignalTraces:
 # ======================================================================
 # Simulator capture/restore.
 # ======================================================================
+#: per target: the checkpoint ticks a capture/restore round-trip visits
+CHECKPOINT_TICKS = {
+    "arrestment": {0, 1, 7, 500, 2000, 4000},
+    "watertank": {0, 1, 7, 500, 3000},
+}
+
+
 class TestCaptureRestore:
+    def make(self, target_name, mid_case):
+        """A zero-argument factory of fresh simulators of one case."""
+        if target_name == "arrestment":
+            return lambda: ArrestmentSimulator(mid_case)
+        target = get_target(target_name)
+        case = target.standard_test_cases()[0]
+        return lambda: target.simulator_factory(case)
+
     def checkpoints(self, make, ticks):
         simulator = make()
         states = {}
@@ -144,8 +159,10 @@ class TestCaptureRestore:
         simulator.set_tick_probe(probe)
         return simulator.run(), states
 
-    def roundtrip(self, make, checkpoint_ticks):
-        golden, states = self.checkpoints(make, checkpoint_ticks)
+    @pytest.mark.parametrize("target_name", sorted(CHECKPOINT_TICKS))
+    def test_bit_identical(self, target_name, mid_case):
+        make = self.make(target_name, mid_case)
+        golden, states = self.checkpoints(make, CHECKPOINT_TICKS[target_name])
         for tick, state in states.items():
             resumed_sim = make()
             resumed_sim.restore_state(state)
@@ -155,27 +172,18 @@ class TestCaptureRestore:
             assert resumed.verdict == golden.verdict
             assert_same_traces(golden.traces, resumed.traces)
 
-    def test_arrestment_bit_identical(self, mid_case):
-        self.roundtrip(
-            lambda: ArrestmentSimulator(mid_case), {0, 1, 7, 500, 2000, 4000}
-        )
-
-    def test_watertank_bit_identical(self, watertank):
-        case = watertank.standard_test_cases()[0]
-        self.roundtrip(
-            lambda: watertank.simulator_factory(case), {0, 1, 7, 500, 3000}
-        )
-
     def test_restore_skips_simulated_prefix(self, mid_case):
-        _, states = self.checkpoints(
-            lambda: ArrestmentSimulator(mid_case), {2000}
-        )
-        resumed_sim = ArrestmentSimulator(mid_case)
-        seen = []
-        resumed_sim.restore_state(states[2000])
-        resumed_sim.set_tick_probe(lambda tick: seen.append(tick) or False)
-        resumed_sim.run()
-        assert seen[0] == 2000
+        for target_name in CHECKPOINT_TICKS:
+            make = self.make(target_name, mid_case)
+            _, states = self.checkpoints(make, {2000})
+            resumed_sim = make()
+            seen = []
+            resumed_sim.restore_state(states[2000])
+            resumed_sim.set_tick_probe(
+                lambda tick: seen.append(tick) or False
+            )
+            resumed_sim.run()
+            assert seen[0] == 2000, target_name
 
 
 # ======================================================================

@@ -92,57 +92,84 @@ def memory_tasks(campaign, cases, count, seed):
     return tasks
 
 
-class TestWatertankKernel:
-    def test_permeability_rows_match_scalar(self, tank_cases):
+class KernelContract:
+    """The batch-vs-scalar contract every vector kernel keeps.
+
+    Each subclass runs the same cases on one target: it names the
+    target's simulator factory, test cases and assertion specs, the
+    rows each case injects (test cases by index), and the target's
+    dispatch chain.
+    """
+
+    #: (module, input port, case index, tick, bit)
+    permeability_rows = ()
+    #: permeability rows flipping the dispatch slot at tick 0 or later
+    divergence_rows = ()
+    #: (system input, case index, tick, bit)
+    detection_rows = ()
+    #: (row count, seed) of the randomized memory / recovery draws
+    memory_draw = (0, 0)
+    recovery_draw = (0, 0)
+    #: (dispatch module, successor-cell prefix, slot signal)
+    dispatch_chain = ("", "", "")
+
+    @staticmethod
+    def factory(tc):
+        raise NotImplementedError
+
+    @staticmethod
+    def specs():
+        raise NotImplementedError
+
+    def run_permeability(self, cases, rows):
         campaign = PermeabilityCampaign(
-            tank_factory, tank_cases, runs_per_input=1, seed=3
+            self.factory, cases, runs_per_input=1, seed=3
         )
         tasks = [
-            ("LEVEL_S", "LVL_ADC", tank_cases[0], 40, 2),
-            ("LEVEL_S", "LVL_ADC", tank_cases[1], 120, 9),
-            ("LEVEL_S", "LVL_ADC", tank_cases[0], 299, 0),
-            ("CTRL", "level_f", tank_cases[0], 7, 14),
-            ("CTRL", "inflow_rate", tank_cases[1], 55, 3),
-            ("CTRL", "ticks", tank_cases[0], 90, 1),
-            ("FLOW_S", "FLOW_CNT", tank_cases[1], 33, 7),
-            ("FLOW_S", "FLOW_CNT", tank_cases[0], 34, 0),
+            (module, port, cases[case], tick, bit)
+            for module, port, case, tick, bit in rows
         ]
-        batched, reference, delta = batch_vs_scalar(
+        return batch_vs_scalar(
             "permeability", campaign, tasks, goldens=campaign.goldens
+        )
+
+    def run_memory(self, cases, draw):
+        """Batch vs scalar over the memory tasks ``draw(campaign)``."""
+        specs = self.specs()
+        campaign = MemoryCampaign(self.factory, cases, specs, seed=5)
+        return batch_vs_scalar(
+            "memory", campaign, draw(campaign), specs=specs,
+            period_ticks=campaign.period_ticks,
+        )
+
+    def test_permeability_rows_match_scalar(self, cases):
+        batched, reference, delta = self.run_permeability(
+            cases, self.permeability_rows
         )
         assert batched == reference
-        assert delta["vec_rows"] == len(tasks)  # every row answered by a batch
+        # every row answered by a batch
+        assert delta["vec_rows"] == len(self.permeability_rows)
 
-    def test_timer_divergence_retires_to_scalar(self, tank_cases):
-        """A tick-0 flip of the dispatch slot leaves the golden
-        schedule immediately: the rows retire and are recomputed by
-        the scalar path, so outcomes still match exactly."""
-        campaign = PermeabilityCampaign(
-            tank_factory, tank_cases, runs_per_input=1, seed=3
-        )
-        tasks = [
-            ("TIMER", "tick_nbr", tank_cases[0], 0, 0),
-            ("TIMER", "tick_nbr", tank_cases[0], 0, 1),
-            ("TIMER", "tick_nbr", tank_cases[1], 150, 2),
-        ]
-        batched, reference, delta = batch_vs_scalar(
-            "permeability", campaign, tasks, goldens=campaign.goldens
+    def test_dispatch_divergence_retires_to_scalar(self, cases):
+        """A flip of the dispatch slot leaves the golden schedule
+        immediately: the rows retire and are recomputed by the scalar
+        path, so outcomes still match exactly."""
+        batched, reference, delta = self.run_permeability(
+            cases, self.divergence_rows
         )
         assert batched == reference
         # all rows dispatch-diverged
-        assert delta["vec_retired_rows"] == len(tasks)
+        assert delta["vec_retired_rows"] == len(self.divergence_rows)
         assert delta["vec_rows"] == 0
 
-    def test_detection_rows_match_scalar(self, tank_cases):
-        specs = tank_assertions()
+    def test_detection_rows_match_scalar(self, cases):
+        specs = self.specs()
         campaign = DetectionCampaign(
-            tank_factory, tank_cases, specs, runs_per_signal=1, seed=3
+            self.factory, cases, specs, runs_per_signal=1, seed=3
         )
         tasks = [
-            ("LVL_ADC", tank_cases[0], 0, 9),
-            ("LVL_ADC", tank_cases[1], 60, 5),
-            ("FLOW_CNT", tank_cases[0], 120, 7),
-            ("FLOW_CNT", tank_cases[1], 299, 0),
+            (signal, cases[case], tick, bit)
+            for signal, case, tick, bit in self.detection_rows
         ]
         batched, reference, delta = batch_vs_scalar(
             "detection", campaign, tasks, specs=specs
@@ -150,35 +177,21 @@ class TestWatertankKernel:
         assert batched == reference
         assert delta["vec_rows"] == len(tasks)
 
-    def test_memory_rows_match_scalar(self, tank_cases):
-        specs = tank_assertions()
-        campaign = MemoryCampaign(
-            tank_factory, tank_cases, specs, seed=5
-        )
-        tasks = memory_tasks(campaign, tank_cases, 12, seed=5)
-        batched, reference, delta = batch_vs_scalar(
-            "memory", campaign, tasks, specs=specs,
-            period_ticks=campaign.period_ticks,
+    def test_memory_rows_match_scalar(self, cases):
+        count, seed = self.memory_draw
+        batched, reference, delta = self.run_memory(
+            cases, lambda c: memory_tasks(c, cases, count, seed=seed)
         )
         assert batched == reference
         assert delta["vec_rows"] > 0  # some rows really ran batched
 
-    def test_memory_cross_case_group(self, tank_cases):
+    def test_memory_cross_case_group(self, cases):
         """Two cases sharing one (location, bit, phase) land in the
         same group: per-row golden indirection in action."""
-        specs = tank_assertions()
-        campaign = MemoryCampaign(
-            tank_factory, tank_cases, specs, seed=5
-        )
-        probe = campaign.factory(tank_cases[0])
-        location = MemoryMap(probe.system).locations()[0]
-        tasks = [
-            (location, tank_cases[0], 0, 3),
-            (location, tank_cases[1], 0, 3),
-        ]
-        batched, reference, delta = batch_vs_scalar(
-            "memory", campaign, tasks, specs=specs,
-            period_ticks=campaign.period_ticks,
+        location = MemoryMap(self.factory(cases[0]).system).locations()[0]
+        batched, reference, delta = self.run_memory(
+            cases,
+            lambda c: [(location, cases[0], 0, 3), (location, cases[1], 0, 3)],
         )
         assert batched == reference
         assert delta["vec_groups"] == 1  # one group for both cases
@@ -186,130 +199,47 @@ class TestWatertankKernel:
         # one group's slots at width 16
         assert delta["vec_group_capacity"] == 16
 
-    def test_recovery_rows_match_scalar(self, tank_cases):
-        specs = tank_assertions()
-        campaign = RecoveryCampaign(
-            tank_factory, tank_cases, specs, seed=5
-        )
-        tasks = memory_tasks(campaign, tank_cases, 10, seed=7)
-        batched, reference, delta = batch_vs_scalar(
-            "recovery", campaign, tasks, specs=specs,
-            policies=campaign.policies,
-            period_ticks=campaign.period_ticks,
-        )
-        assert batched == reference
-        assert delta["vec_rows"] > 0
-
-
-class TestArrestmentKernel:
-    def test_permeability_rows_match_scalar(self, arrestment_cases):
-        campaign = PermeabilityCampaign(
-            arrestment_factory, arrestment_cases, runs_per_input=1, seed=3
-        )
-        tasks = [
-            ("DIST_S", "PACNT", arrestment_cases[0], 500, 3),
-            ("DIST_S", "TIC1", arrestment_cases[1], 1200, 11),
-            ("DIST_S", "TCNT", arrestment_cases[0], 40, 0),
-            ("CALC", "pulscnt", arrestment_cases[1], 2500, 8),
-            ("CALC", "i", arrestment_cases[0], 700, 1),
-            ("CALC", "stopped", arrestment_cases[1], 900, 0),
-            ("V_REG", "SetValue", arrestment_cases[0], 3000, 13),
-            ("V_REG", "IsValue", arrestment_cases[1], 100, 6),
-        ]
-        batched, reference, delta = batch_vs_scalar(
-            "permeability", campaign, tasks, goldens=campaign.goldens
-        )
-        assert batched == reference
-        assert delta["vec_rows"] == len(tasks)
-
-    def test_clock_divergence_retires_to_scalar(self, arrestment_cases):
-        campaign = PermeabilityCampaign(
-            arrestment_factory, arrestment_cases, runs_per_input=1, seed=3
-        )
-        tasks = [
-            ("CLOCK", "ms_slot_nbr", arrestment_cases[0], 0, 0),
-            ("CLOCK", "ms_slot_nbr", arrestment_cases[1], 0, 4),
-        ]
-        batched, reference, delta = batch_vs_scalar(
-            "permeability", campaign, tasks, goldens=campaign.goldens
-        )
-        assert batched == reference
-        assert delta["vec_retired_rows"] == len(tasks)
-
-    def test_detection_rows_match_scalar(self, arrestment_cases):
-        specs = list(EA_BY_NAME.values())
-        campaign = DetectionCampaign(
-            arrestment_factory, arrestment_cases, specs,
-            runs_per_signal=1, seed=3,
-        )
-        tasks = [
-            ("PACNT", arrestment_cases[0], 0, 2),
-            ("ADC", arrestment_cases[1], 800, 9),
-            ("TCNT", arrestment_cases[0], 3000, 15),
-            ("TIC1", arrestment_cases[1], 5500, 1),
-        ]
-        batched, reference, delta = batch_vs_scalar(
-            "detection", campaign, tasks, specs=specs
-        )
-        assert batched == reference
-        assert delta["vec_rows"] == len(tasks)
-
-    def test_memory_rows_match_scalar(self, arrestment_cases):
-        specs = list(EA_BY_NAME.values())
-        campaign = MemoryCampaign(
-            arrestment_factory, arrestment_cases, specs, seed=5
-        )
-        tasks = memory_tasks(campaign, arrestment_cases, 10, seed=5)
-        batched, reference, delta = batch_vs_scalar(
-            "memory", campaign, tasks, specs=specs,
-            period_ticks=campaign.period_ticks,
-        )
-        assert batched == reference
-        assert delta["vec_rows"] > 0
-
-    def test_memory_dispatch_chain_rows_stay_batched(self, arrestment_cases):
-        """Memory flips on the dispatch chain — CLOCK's slot-successor
-        cells and the ``ms_slot_nbr`` backing store — corrupt the
-        schedule itself.  Per-row masked dispatch follows each row's
-        own (possibly corrupted) slot, so these rows stay in the batch
-        (0 retired) and still match the scalar path bit for bit."""
-        specs = list(EA_BY_NAME.values())
-        campaign = MemoryCampaign(
-            arrestment_factory, arrestment_cases, specs, seed=5
-        )
-        probe = campaign.factory(arrestment_cases[0])
+    def test_memory_dispatch_chain_rows_stay_batched(self, cases):
+        """Memory flips on the dispatch chain — the dispatch module's
+        slot-successor cells and the slot signal's backing store —
+        corrupt the schedule itself.  Per-row masked dispatch follows
+        each row's own (possibly corrupted) slot, so these rows stay in
+        the batch (0 retired) and still match the scalar path bit for
+        bit."""
+        module, prefix, slot_signal = self.dispatch_chain
         chain = [
-            loc for loc in MemoryMap(probe.system).locations()
-            if loc.module == "CLOCK"
-            and (loc.cell.startswith("slot_succ") or loc.cell == "ms_slot_nbr")
+            loc
+            for loc in MemoryMap(self.factory(cases[0]).system).locations()
+            if loc.module == module
+            and (loc.cell.startswith(prefix) or loc.cell == slot_signal)
         ]
-        assert chain, "no dispatch-chain locations on the arrestment map"
-        rng = random.Random(13)
-        tasks = []
-        for index in range(8):
-            location = chain[index % len(chain)]
-            tasks.append((
-                location,
-                arrestment_cases[index % 2],
-                rng.randrange(location.valid_bits),
-                rng.randrange(campaign.period_ticks),
-            ))
-        batched, reference, delta = batch_vs_scalar(
-            "memory", campaign, tasks, specs=specs,
-            period_ticks=campaign.period_ticks,
-        )
+        assert chain, "no dispatch-chain locations on the memory map"
+
+        def draw(campaign):
+            rng = random.Random(13)
+            tasks = []
+            for index in range(8):
+                location = chain[index % len(chain)]
+                tasks.append((
+                    location,
+                    cases[index % 2],
+                    rng.randrange(location.valid_bits),
+                    rng.randrange(campaign.period_ticks),
+                ))
+            return tasks
+
+        batched, reference, delta = self.run_memory(cases, draw)
         assert batched == reference
         # no dispatch-divergence retirements
         assert delta["vec_retired_rows"] == 0
         # every row answered by the batch
-        assert delta["vec_rows"] == len(tasks)
+        assert delta["vec_rows"] == 8
 
-    def test_recovery_rows_match_scalar(self, arrestment_cases):
-        specs = list(EA_BY_NAME.values())
-        campaign = RecoveryCampaign(
-            arrestment_factory, arrestment_cases, specs, seed=5
-        )
-        tasks = memory_tasks(campaign, arrestment_cases, 8, seed=9)
+    def test_recovery_rows_match_scalar(self, cases):
+        specs = self.specs()
+        campaign = RecoveryCampaign(self.factory, cases, specs, seed=5)
+        count, seed = self.recovery_draw
+        tasks = memory_tasks(campaign, cases, count, seed=seed)
         batched, reference, delta = batch_vs_scalar(
             "recovery", campaign, tasks, specs=specs,
             policies=campaign.policies,
@@ -317,6 +247,74 @@ class TestArrestmentKernel:
         )
         assert batched == reference
         assert delta["vec_rows"] > 0
+
+
+class TestWatertankKernel(KernelContract):
+    factory = staticmethod(tank_factory)
+    specs = staticmethod(tank_assertions)
+    permeability_rows = (
+        ("LEVEL_S", "LVL_ADC", 0, 40, 2),
+        ("LEVEL_S", "LVL_ADC", 1, 120, 9),
+        ("LEVEL_S", "LVL_ADC", 0, 299, 0),
+        ("CTRL", "level_f", 0, 7, 14),
+        ("CTRL", "inflow_rate", 1, 55, 3),
+        ("CTRL", "ticks", 0, 90, 1),
+        ("FLOW_S", "FLOW_CNT", 1, 33, 7),
+        ("FLOW_S", "FLOW_CNT", 0, 34, 0),
+    )
+    divergence_rows = (
+        ("TIMER", "tick_nbr", 0, 0, 0),
+        ("TIMER", "tick_nbr", 0, 0, 1),
+        ("TIMER", "tick_nbr", 1, 150, 2),
+    )
+    detection_rows = (
+        ("LVL_ADC", 0, 0, 9),
+        ("LVL_ADC", 1, 60, 5),
+        ("FLOW_CNT", 0, 120, 7),
+        ("FLOW_CNT", 1, 299, 0),
+    )
+    memory_draw = (12, 5)
+    recovery_draw = (10, 7)
+    dispatch_chain = ("TIMER", "succ", "tick_nbr")
+
+    @pytest.fixture
+    def cases(self, tank_cases):
+        return tank_cases
+
+
+class TestArrestmentKernel(KernelContract):
+    factory = staticmethod(arrestment_factory)
+    permeability_rows = (
+        ("DIST_S", "PACNT", 0, 500, 3),
+        ("DIST_S", "TIC1", 1, 1200, 11),
+        ("DIST_S", "TCNT", 0, 40, 0),
+        ("CALC", "pulscnt", 1, 2500, 8),
+        ("CALC", "i", 0, 700, 1),
+        ("CALC", "stopped", 1, 900, 0),
+        ("V_REG", "SetValue", 0, 3000, 13),
+        ("V_REG", "IsValue", 1, 100, 6),
+    )
+    divergence_rows = (
+        ("CLOCK", "ms_slot_nbr", 0, 0, 0),
+        ("CLOCK", "ms_slot_nbr", 1, 0, 4),
+    )
+    detection_rows = (
+        ("PACNT", 0, 0, 2),
+        ("ADC", 1, 800, 9),
+        ("TCNT", 0, 3000, 15),
+        ("TIC1", 1, 5500, 1),
+    )
+    memory_draw = (10, 5)
+    recovery_draw = (8, 9)
+    dispatch_chain = ("CLOCK", "slot_succ", "ms_slot_nbr")
+
+    @staticmethod
+    def specs():
+        return list(EA_BY_NAME.values())
+
+    @pytest.fixture
+    def cases(self, arrestment_cases):
+        return arrestment_cases
 
 
 class TestCampaignAB:
@@ -441,6 +439,35 @@ class TestCampaignAB:
         assert wrap_runner(
             "detection", runner, [], CampaignConfig(), tank_factory
         ) is runner
+
+    def test_wrap_runner_passthrough_when_chaos_armed(
+        self, tank_cases, monkeypatch
+    ):
+        """An armed chaos hook keeps the whole campaign scalar: no
+        tick-0 templates, no golden pack, no batch-aligned chunks."""
+        specs = tank_assertions()
+        campaign = DetectionCampaign(
+            tank_factory, tank_cases, specs, runs_per_signal=1, seed=3
+        )
+        tasks = [
+            ("LVL_ADC", tank_cases[0], 0, 9),
+            ("FLOW_CNT", tank_cases[1], 60, 5),
+        ]
+
+        def runner(index):
+            return campaign._one_run(*tasks[index])
+
+        def wrap():
+            return wrap_runner(
+                "detection", runner, tasks, _batched(16), campaign.factory,
+                specs=specs,
+            )
+
+        batched = wrap()
+        assert isinstance(batched, BatchRunner)
+        batched.close()
+        monkeypatch.setenv("REPRO_CHAOS_FAIL_INDEX", "1")
+        assert wrap() is runner
 
 
 @pytest.mark.slow
